@@ -1,6 +1,7 @@
 package ankerdb
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,12 +11,14 @@ import (
 	"ankerdb/internal/repl"
 )
 
-// Remote session wire schema: one gob request struct and one gob
-// response struct cover every SessionTxn operation, single in-flight
-// per connection (the engine's session operations are synchronous
-// anyway). Engine sentinel errors cross the wire as codes from
-// wireSentinels, so errors.Is works identically against a remote
-// session.
+// Remote session wire schema: one request struct and one response
+// struct cover every SessionTxn operation, single in-flight per
+// connection (the engine's session operations are synchronous anyway).
+// Each is one fixed little-endian layout (repl.Enc/repl.Dec, see
+// AppendTo below) encoded into the connection's reused buffer, so a
+// round trip allocates only what the operation returns. Engine
+// sentinel errors cross the wire as codes from wireSentinels, so
+// errors.Is works identically against a remote session.
 
 // Session op codes.
 const (
@@ -35,7 +38,7 @@ const (
 	opStats
 )
 
-// wireReq is one session request frame (gob payload of MsgRequest).
+// wireReq is one session request frame (payload of MsgRequest).
 type wireReq struct {
 	Op    uint8
 	Txn   uint64 // server-issued transaction handle (0 for Begin/Stats)
@@ -48,14 +51,14 @@ type wireReq struct {
 	Lo    int64
 	Hi    int64
 	Agg   Agg
-	// Insert's value map, flattened (gob has no map[string]any).
+	// Insert's value map, flattened into parallel slices.
 	Names []string
 	Vals  []int64
 	Strs  []string
 	IsStr []bool
 }
 
-// wireResp is one session response frame (gob payload of MsgResponse).
+// wireResp is one session response frame (payload of MsgResponse).
 type wireResp struct {
 	Err   uint8  // wireSentinels index; 0 = success
 	Msg   string // full error text when Err != 0
@@ -67,6 +70,136 @@ type wireResp struct {
 	Rows  []int
 	Vals  []int64
 	Stats *Stats
+}
+
+// AppendTo encodes the request:
+//
+//	[op u8][txn u64][class u8][tab str][col str][row i64][val i64]
+//	[str str][lo i64][hi i64][agg u8]
+//	[n u32] n × ([name str][isStr u8][str str | val i64])
+func (r *wireReq) AppendTo(dst []byte) []byte {
+	e := repl.Enc{B: dst}
+	e.U8(r.Op)
+	e.U64(r.Txn)
+	e.U8(uint8(r.Class))
+	e.Str(r.Tab)
+	e.Str(r.Col)
+	e.I64(int64(r.Row))
+	e.I64(r.Val)
+	e.Str(r.Str)
+	e.I64(r.Lo)
+	e.I64(r.Hi)
+	e.U8(uint8(r.Agg))
+	e.Len(len(r.Names))
+	for i, name := range r.Names {
+		e.Str(name)
+		e.Bool(r.IsStr[i])
+		if r.IsStr[i] {
+			e.Str(r.Strs[i])
+		} else {
+			e.I64(r.Vals[i])
+		}
+	}
+	return e.B
+}
+
+// Decode parses a request, keeping Insert's parallel slices aligned.
+func (r *wireReq) Decode(p []byte) error {
+	d := repl.NewDec(p)
+	*r = wireReq{
+		Op:    d.U8(),
+		Txn:   d.U64(),
+		Class: TxnClass(d.U8()),
+		Tab:   d.Str(),
+		Col:   d.Str(),
+		Row:   int(d.I64()),
+		Val:   d.I64(),
+		Str:   d.Str(),
+		Lo:    d.I64(),
+		Hi:    d.I64(),
+		Agg:   Agg(d.U8()),
+	}
+	// An insert column takes at least a name length and a flag.
+	for n := d.Len(5); n > 0; n-- {
+		name, isStr := d.Str(), d.Bool()
+		var str string
+		var val int64
+		if isStr {
+			str = d.Str()
+		} else {
+			val = d.I64()
+		}
+		r.Names, r.IsStr = append(r.Names, name), append(r.IsStr, isStr)
+		r.Strs, r.Vals = append(r.Strs, str), append(r.Vals, val)
+	}
+	return d.Done()
+}
+
+// AppendTo encodes the response:
+//
+//	[err u8][msg str][txn u64][ts u64][val i64][str str][row i64]
+//	[n u32] n × row i64   [m u32] m × val i64   [stats str]
+//
+// Stats (opStats only, an admin op on no hot path) travels as a JSON
+// blob, empty when absent.
+func (r *wireResp) AppendTo(dst []byte) []byte {
+	e := repl.Enc{B: dst}
+	e.U8(r.Err)
+	e.Str(r.Msg)
+	e.U64(r.Txn)
+	e.U64(r.TS)
+	e.I64(r.Val)
+	e.Str(r.Str)
+	e.I64(int64(r.Row))
+	e.Len(len(r.Rows))
+	for _, row := range r.Rows {
+		e.I64(int64(row))
+	}
+	e.Len(len(r.Vals))
+	for _, v := range r.Vals {
+		e.I64(v)
+	}
+	var stats []byte
+	if r.Stats != nil {
+		// Stats holds only numbers, strings and bools: Marshal cannot
+		// fail on it.
+		stats, _ = json.Marshal(r.Stats)
+	}
+	e.Bytes(stats)
+	return e.B
+}
+
+// Decode parses a response.
+func (r *wireResp) Decode(p []byte) error {
+	d := repl.NewDec(p)
+	*r = wireResp{
+		Err: d.U8(),
+		Msg: d.Str(),
+		Txn: d.U64(),
+		TS:  d.U64(),
+		Val: d.I64(),
+		Str: d.Str(),
+		Row: int(d.I64()),
+	}
+	if n := d.Len(8); n > 0 {
+		r.Rows = make([]int, n)
+		for i := range r.Rows {
+			r.Rows[i] = int(d.I64())
+		}
+	}
+	if n := d.Len(8); n > 0 {
+		r.Vals = make([]int64, n)
+		for i := range r.Vals {
+			r.Vals[i] = d.I64()
+		}
+	}
+	if stats := d.Bytes(); len(stats) > 0 {
+		r.Stats = new(Stats)
+		if err := json.Unmarshal(stats, r.Stats); err != nil {
+			return fmt.Errorf("ankerdb: bad stats in response: %w", err)
+		}
+	}
+	return d.Done()
 }
 
 // wireSentinels maps wire error codes to engine sentinels, so a remote
@@ -159,7 +292,7 @@ func Dial(addr, ns string) (*RemoteSession, error) {
 		return nil, err
 	}
 	c := repl.NewConn(nc)
-	if err := c.SendGob(repl.MsgHello, repl.Hello{Role: repl.RoleSession, Namespace: ns}); err != nil {
+	if err := c.SendMessage(repl.MsgHello, repl.Hello{Role: repl.RoleSession, Namespace: ns}); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
@@ -173,7 +306,7 @@ func Dial(addr, ns string) (*RemoteSession, error) {
 		return &RemoteSession{conn: c}, nil
 	case repl.MsgErr:
 		var we repl.WireErr
-		_ = repl.DecodeGob(payload, &we)
+		_ = we.Decode(payload)
 		_ = c.Close()
 		return nil, wireToErr(we.Code, we.Msg)
 	default:
@@ -184,35 +317,35 @@ func Dial(addr, ns string) (*RemoteSession, error) {
 
 // roundTrip ships one request and decodes its response, serialising
 // in-flight requests (SessionTxn operations are synchronous).
-func (s *RemoteSession) roundTrip(req *wireReq) (*wireResp, error) {
+func (s *RemoteSession) roundTrip(req *wireReq) (wireResp, error) {
+	var resp wireResp
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return resp, ErrClosed
 	}
-	if err := s.conn.SendGob(repl.MsgRequest, req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+	if err := s.conn.SendMessage(repl.MsgRequest, req); err != nil {
+		return resp, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	typ, payload, err := s.conn.ReadMsg()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+		return resp, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	switch typ {
 	case repl.MsgResponse:
-		var resp wireResp
-		if err := repl.DecodeGob(payload, &resp); err != nil {
-			return nil, err
+		if err := resp.Decode(payload); err != nil {
+			return resp, err
 		}
 		if resp.Err != 0 || resp.Msg != "" {
-			return nil, wireToErr(resp.Err, resp.Msg)
+			return resp, wireToErr(resp.Err, resp.Msg)
 		}
-		return &resp, nil
+		return resp, nil
 	case repl.MsgErr:
 		var we repl.WireErr
-		_ = repl.DecodeGob(payload, &we)
-		return nil, wireToErr(we.Code, we.Msg)
+		_ = we.Decode(payload)
+		return resp, wireToErr(we.Code, we.Msg)
 	default:
-		return nil, fmt.Errorf("ankerdb: unexpected response frame type %d", typ)
+		return resp, fmt.Errorf("ankerdb: unexpected response frame type %d", typ)
 	}
 }
 
@@ -259,9 +392,9 @@ type remoteTxn struct {
 func (t *remoteTxn) Class() TxnClass    { return t.class }
 func (t *remoteTxn) SnapshotTS() uint64 { return t.ts }
 
-func (t *remoteTxn) op(req *wireReq) (*wireResp, error) {
+func (t *remoteTxn) op(req *wireReq) (wireResp, error) {
 	if t.done {
-		return nil, ErrTxnDone
+		return wireResp{}, ErrTxnDone
 	}
 	req.Txn = t.id
 	return t.s.roundTrip(req)
@@ -325,7 +458,7 @@ func (t *remoteTxn) SetString(tab, col string, row int, s string) error {
 	return err
 }
 
-// Insert flattens the value map for gob: per column a name, an int64
+// Insert flattens the value map: per column a name, an int64
 // or string payload, and which of the two it is. Engine-side type
 // dispatch (Varchar wants string, everything else int64) is preserved.
 func (t *remoteTxn) Insert(tab string, vals map[string]any) (int, error) {

@@ -33,7 +33,9 @@
 //     byte-identically to read replicas, plus a FIFO publisher that
 //     releases records in WAL-append order gated on the commit
 //     completion watermark, so subscribers never observe a torn or
-//     reordered stream
+//     reordered stream; control and session messages use fixed
+//     little-endian layouts (no reflection codec), and the hello
+//     carries a protocol version byte a mismatched peer is refused on
 //   - internal/telemetry: lock-free observability primitives — atomic
 //     log2-bucketed latency histograms on every hot phase and an
 //     always-on flight-recorder ring of structured trace events
@@ -156,7 +158,10 @@
 // satisfies, so code written against Session runs unchanged
 // in-process or over the wire, and sentinel errors (ErrConflict,
 // ErrNoSuchTable, ErrRowNotVisible, ...) match under errors.Is on
-// both sides. WithServeMaxSessions caps concurrent remote sessions
+// both sides. Each request and response is one fixed little-endian
+// layout encoded into the connection's reused buffer, so a remote Get
+// costs a handful of allocations end to end. WithServeMaxSessions caps
+// concurrent remote sessions
 // (the excess dial fails with ErrTooManySessions); WithNamespace
 // names the served database, and NewServer + Server.Register front
 // several databases behind one port.

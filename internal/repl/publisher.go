@@ -49,10 +49,15 @@ type Record struct {
 // watermark, or re-bootstraps if the retained history no longer
 // reaches back that far.
 type Publisher struct {
-	mu      sync.Mutex
-	queue   []Record  // staged, awaiting watermark release
-	history []histRec // released records retained for reconnect resume
-	histCap int
+	mu    sync.Mutex
+	queue []Record // staged, awaiting watermark release
+	// history retains released records for reconnect resume: a ring of
+	// at most histCap records that grows by append until full, then
+	// overwrites its oldest entry, histHead, so a release past the cap
+	// costs O(1).
+	history  []histRec
+	histHead int
+	histCap  int
 	// histFloor is the highest eviction floor of any record evicted from
 	// history: a resume is possible only from AfterTS >= histFloor,
 	// because a replica further behind may never have received an
@@ -149,10 +154,17 @@ func (p *Publisher) Advance(ts uint64) {
 // watermark, capped below the oldest still-held commit — a held record
 // behind a head-of-line block must never be announced as applied.
 func (p *Publisher) drainLocked() {
-	for len(p.queue) > 0 && (p.queue[0].TS == 0 || p.queue[0].TS <= p.oracleW) {
-		rec := p.queue[0]
-		p.queue = p.queue[1:]
-		p.emitLocked(rec)
+	n := 0
+	for n < len(p.queue) && (p.queue[n].TS == 0 || p.queue[n].TS <= p.oracleW) {
+		p.emitLocked(p.queue[n])
+		n++
+	}
+	if n > 0 {
+		// Shift the held remainder (usually empty) to the front so the
+		// queue's backing array is reused instead of re-grown per record.
+		rest := copy(p.queue, p.queue[n:])
+		clear(p.queue[rest:])
+		p.queue = p.queue[:rest]
 	}
 	pub := p.oracleW
 	for _, rec := range p.queue {
@@ -179,17 +191,18 @@ func (p *Publisher) emitLocked(rec Record) {
 		// floor's safety argument needs.
 		floor = p.watermark.Load() + 1
 	}
-	if len(p.history) >= p.histCap {
-		old := p.history[0]
-		// Shift rather than reslice so the backing array is reused and
-		// evicted payloads become collectable.
-		copy(p.history, p.history[1:])
-		p.history = p.history[:len(p.history)-1]
-		if old.floor > p.histFloor {
-			p.histFloor = old.floor
+	h := histRec{rec: rec, floor: floor}
+	if len(p.history) < p.histCap {
+		p.history = append(p.history, h)
+	} else {
+		// Full: the new record overwrites the oldest, whose payload
+		// becomes collectable.
+		if old := p.history[p.histHead].floor; old > p.histFloor {
+			p.histFloor = old
 		}
+		p.history[p.histHead] = h
+		p.histHead = (p.histHead + 1) % len(p.history)
 	}
-	p.history = append(p.history, histRec{rec: rec, floor: floor})
 	for s := range p.subs {
 		select {
 		case s.ch <- rec:
@@ -258,7 +271,9 @@ func (p *Publisher) Resume(afterTS uint64, buf int) (*Subscriber, bool) {
 		return nil, false
 	}
 	var replay []Record
-	for _, h := range p.history {
+	for i := range p.history {
+		// Oldest to newest: the ring starts at histHead.
+		h := p.history[(p.histHead+i)%len(p.history)]
 		if h.rec.TS == 0 || h.rec.TS > afterTS {
 			replay = append(replay, h.rec)
 		}

@@ -3,6 +3,7 @@ package repl
 import (
 	"encoding/binary"
 	"net"
+	"reflect"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := ca.WriteGob(MsgHeartbeat, Heartbeat{Watermark: 42}); err != nil {
+		if err := ca.WriteMessage(MsgHeartbeat, Heartbeat{Watermark: 42}); err != nil {
 			done <- err
 			return
 		}
@@ -45,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 3: type=%d err=%v", typ, err)
 	}
 	var hb Heartbeat
-	if err := DecodeGob(payload, &hb); err != nil || hb.Watermark != 42 {
+	if err := hb.Decode(payload); err != nil || hb.Watermark != 42 {
 		t.Fatalf("heartbeat decode: %+v err=%v", hb, err)
 	}
 	if err := <-done; err != nil {
@@ -74,14 +75,17 @@ func TestFrameChecksumRejected(t *testing.T) {
 func TestHelloRoundTrip(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		_ = ca.SendGob(MsgHello, Hello{Role: RoleReplica, Namespace: "tenant-a", AfterTS: 7})
+		_ = ca.SendMessage(MsgHello, Hello{Role: RoleReplica, Namespace: "tenant-a", AfterTS: 7})
 	}()
 	typ, payload, err := cb.ReadMsg()
 	if err != nil || typ != MsgHello {
 		t.Fatalf("type=%d err=%v", typ, err)
 	}
 	var h Hello
-	if err := DecodeGob(payload, &h); err != nil {
+	if payload[0] != ProtoVersion {
+		t.Fatalf("hello version byte = %d, want %d", payload[0], ProtoVersion)
+	}
+	if err := h.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
 	if h.Role != RoleReplica || h.Namespace != "tenant-a" || h.AfterTS != 7 {
@@ -329,7 +333,7 @@ func TestWireErrAndSendErr(t *testing.T) {
 		t.Fatalf("ReadMsg = %d, %v", typ, err)
 	}
 	var got WireErr
-	if err := DecodeGob(payload, &got); err != nil || got.Msg != "sent over the wire" {
+	if err := got.Decode(payload); err != nil || got.Msg != "sent over the wire" {
 		t.Fatalf("decoded %+v, %v", got, err)
 	}
 }
@@ -347,4 +351,118 @@ func TestPublisherFrameCount(t *testing.T) {
 	if p.Drops() != 0 {
 		t.Fatalf("Drops() = %d, want 0", p.Drops())
 	}
+}
+
+// stageReleased stages rec and, for a commit, advances the watermark
+// over it, so it releases into the history at once.
+func stageReleased(p *Publisher, rec Record) {
+	p.Stage(rec)
+	if rec.TS > 0 {
+		p.Advance(rec.TS)
+	}
+}
+
+func TestPublisherRingResumeAfterWrap(t *testing.T) {
+	const histCap, k = 8, 5
+	p := NewPublisher(histCap)
+	// 3×cap+k releases, a schema record among them, so the ring has
+	// wrapped three times and its oldest entry sits mid-array.
+	var all []Record
+	var ts uint64
+	for i := 0; i < 3*histCap+k; i++ {
+		rec := Record{Type: MsgSchema, Payload: []byte{byte(i)}}
+		if i != 3*histCap {
+			ts++
+			rec = Record{TS: ts, Type: MsgCommit, Payload: []byte{byte(i)}}
+		}
+		stageReleased(p, rec)
+		all = append(all, rec)
+	}
+	retained := all[len(all)-histCap:]
+	floor := all[len(all)-histCap-1].TS // newest evicted: a commit
+	if _, ok := p.Resume(floor-1, 64); ok {
+		t.Fatalf("resume allowed below the newest evicted commit %d", floor)
+	}
+	for after := floor; after <= ts; after++ {
+		s, ok := p.Resume(after, 64)
+		if !ok {
+			t.Fatalf("resume(%d) refused inside the retained window", after)
+		}
+		var want []Record
+		for _, rec := range retained {
+			if rec.TS == 0 || rec.TS > after {
+				want = append(want, rec)
+			}
+		}
+		got := collect(s)
+		p.Detach(s)
+		if after < ts {
+			// Catch-up heartbeat after the suffix.
+			if last := got[len(got)-1]; last.Type != MsgHeartbeat || last.TS != ts {
+				t.Fatalf("resume(%d) tail = %+v", after, last)
+			}
+			got = got[:len(got)-1]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume(%d) = %+v, want %+v", after, got, want)
+		}
+	}
+}
+
+func TestPublisherRingEvictedSchemaFloorAfterWrap(t *testing.T) {
+	p := NewPublisher(4)
+	// Wrap the ring twice and a half before the schema record lands.
+	for ts := uint64(1); ts <= 10; ts++ {
+		stageReleased(p, Record{TS: ts, Type: MsgCommit})
+	}
+	// Published watermark 10: the schema record's eviction floor is 11.
+	stageReleased(p, Record{Type: MsgSchema, Payload: []byte("create")})
+	for ts := uint64(11); ts <= 14; ts++ {
+		stageReleased(p, Record{TS: ts, Type: MsgCommit})
+	}
+	// Evicted commits only raise the floor to 10; refusing 10 can only
+	// come from the evicted schema record.
+	if _, ok := p.Resume(10, 64); ok {
+		t.Fatalf("resume allowed across an evicted schema record after wrap-around")
+	}
+	if s, ok := p.Resume(11, 64); !ok {
+		t.Fatalf("resume refused at the schema record's eviction floor")
+	} else {
+		p.Detach(s)
+	}
+}
+
+// BenchmarkPublisherStage releases one commit record per op with no
+// subscriber attached, the serving primary's steady state. below-cap
+// starts each history window empty; above-cap first fills the history
+// past 4× its capacity, so every timed release evicts. The two should
+// cost the same.
+func BenchmarkPublisherStage(b *testing.B) {
+	payload := make([]byte, 64)
+	b.Run("below-cap", func(b *testing.B) {
+		var p *Publisher
+		for i := 0; i < b.N; i++ {
+			if i%defaultHistCap == 0 {
+				b.StopTimer()
+				p = NewPublisher(0)
+				b.StartTimer()
+			}
+			ts := uint64(i%defaultHistCap) + 1
+			p.Stage(Record{TS: ts, Type: MsgCommit, Payload: payload})
+			p.Advance(ts)
+		}
+	})
+	b.Run("above-cap", func(b *testing.B) {
+		p := NewPublisher(0)
+		ts := uint64(0)
+		for ; ts < 4*defaultHistCap; ts++ {
+			stageReleased(p, Record{TS: ts + 1, Type: MsgCommit, Payload: payload})
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ts++
+			p.Stage(Record{TS: ts, Type: MsgCommit, Payload: payload})
+			p.Advance(ts)
+		}
+	})
 }

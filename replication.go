@@ -183,7 +183,7 @@ func (db *DB) streamBootstrap(c *repl.Conn) error {
 		}
 	}
 	db.mu.RUnlock()
-	if err := c.WriteGob(repl.MsgSnapBegin, repl.SnapBegin{TS: g.ts, Tables: len(tabs)}); err != nil {
+	if err := c.WriteMessage(repl.MsgSnapBegin, repl.SnapBegin{TS: g.ts, Tables: len(tabs)}); err != nil {
 		return err
 	}
 	for _, t := range tabs {
@@ -195,7 +195,7 @@ func (db *DB) streamBootstrap(c *repl.Conn) error {
 			return err
 		}
 	}
-	if err := c.WriteGob(repl.MsgSnapEnd, repl.SnapEnd{TS: g.ts}); err != nil {
+	if err := c.WriteMessage(repl.MsgSnapEnd, repl.SnapEnd{TS: g.ts}); err != nil {
 		return err
 	}
 	return c.Flush()
@@ -456,7 +456,7 @@ func (r *replicaState) dial(afterTS uint64) (*repl.Conn, repl.Welcome, error) {
 	// on the initial bootstrap). Cleared on success — the live stream
 	// blocks on reads indefinitely by design.
 	_ = c.SetDeadline(time.Now().Add(dialHandshakeTimeout))
-	if err := c.SendGob(repl.MsgHello, repl.Hello{Role: repl.RoleReplica, Namespace: r.ns, AfterTS: afterTS}); err != nil {
+	if err := c.SendMessage(repl.MsgHello, repl.Hello{Role: repl.RoleReplica, Namespace: r.ns, AfterTS: afterTS}); err != nil {
 		_ = c.Close()
 		return nil, repl.Welcome{}, err
 	}
@@ -469,7 +469,7 @@ func (r *replicaState) dial(afterTS uint64) (*repl.Conn, repl.Welcome, error) {
 	switch typ {
 	case repl.MsgWelcome:
 		var w repl.Welcome
-		if err := repl.DecodeGob(payload, &w); err != nil {
+		if err := w.Decode(payload); err != nil {
 			_ = c.Close()
 			return nil, repl.Welcome{}, err
 		}
@@ -483,7 +483,7 @@ func (r *replicaState) dial(afterTS uint64) (*repl.Conn, repl.Welcome, error) {
 		return c, w, nil
 	case repl.MsgErr:
 		var we repl.WireErr
-		_ = repl.DecodeGob(payload, &we)
+		_ = we.Decode(payload)
 		_ = c.Close()
 		return nil, repl.Welcome{}, fmt.Errorf("ankerdb: primary refused replica: %s", we.Msg)
 	default:
@@ -525,7 +525,7 @@ func (r *replicaState) runBootstrap(c *repl.Conn) error {
 			}
 		case repl.MsgSnapBegin:
 			var sb repl.SnapBegin
-			if err := repl.DecodeGob(payload, &sb); err != nil {
+			if err := sb.Decode(payload); err != nil {
 				return err
 			}
 			snapTS, tables = sb.TS, sb.Tables
@@ -558,7 +558,7 @@ func (r *replicaState) runBootstrap(c *repl.Conn) error {
 			return nil
 		case repl.MsgErr:
 			var we repl.WireErr
-			_ = repl.DecodeGob(payload, &we)
+			_ = we.Decode(payload)
 			return fmt.Errorf("ankerdb: primary aborted bootstrap: %s", we.Msg)
 		default:
 			return fmt.Errorf("ankerdb: unexpected frame type %d during bootstrap", typ)
@@ -1112,7 +1112,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			r.frames.Add(1)
 		case repl.MsgHeartbeat:
 			var hb repl.Heartbeat
-			if err := repl.DecodeGob(payload, &hb); err != nil {
+			if err := hb.Decode(payload); err != nil {
 				return err
 			}
 			r.sourceW.Store(hb.Watermark)
@@ -1120,12 +1120,12 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			// (publisher contract), so the replica's committed prefix is
 			// complete through it: publish to local readers, ack upstream.
 			db.oracle.ObserveCommitted(hb.Watermark)
-			if err := c.SendGob(repl.MsgAck, repl.Ack{AppliedTS: db.oracle.Completed()}); err != nil {
+			if err := c.SendMessage(repl.MsgAck, repl.Ack{AppliedTS: db.oracle.Completed()}); err != nil {
 				return err
 			}
 		case repl.MsgErr:
 			var we repl.WireErr
-			_ = repl.DecodeGob(payload, &we)
+			_ = we.Decode(payload)
 			return fmt.Errorf("ankerdb: primary closed stream: %s", we.Msg)
 		default:
 			return fmt.Errorf("ankerdb: unexpected stream frame type %d", typ)

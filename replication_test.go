@@ -608,3 +608,45 @@ func TestReplicaReportsStalenessFromOpen(t *testing.T) {
 		t.Errorf("ReplicaSourceTS = %d immediately after Open, want >= %d", st.ReplicaSourceTS, ts)
 	}
 }
+
+// TestReplicaWatermarkAfterTrailingConflict: a validation conflict
+// completes its timestamp as a no-op without firing the oracle's
+// complete hook. When it is the newest timestamp, the replica must
+// still converge on the primary's completed watermark within a few
+// heartbeats instead of trailing until the next real commit.
+func TestReplicaWatermarkAfterTrailingConflict(t *testing.T) {
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), 8))
+	commitWrite(t, p, "kv", "v", 0, 1)
+	r := openReplicaOf(t, p.ServeAddr())
+
+	a, err := p.Begin(OLTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Get("kv", "v", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Set("kv", "v", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	last := commitWrite(t, p, "kv", "v", 0, 3) // invalidates a's read
+	waitReplicaTS(t, r, last)
+	if err := a.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("Commit = %v, want ErrConflict", err)
+	}
+	want := p.Stats().CompletedCommitTS
+	if want != last+1 {
+		t.Fatalf("primary completed %d after the conflict, want the no-op slot %d", want, last+1)
+	}
+	deadline := time.Now().Add(5 * heartbeatEvery)
+	for {
+		got := r.Stats().CompletedCommitTS
+		if got == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica CompletedCommitTS = %d, primary %d after %v", got, want, 5*heartbeatEvery)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

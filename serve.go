@@ -156,8 +156,8 @@ func (s *Server) handle(c *repl.Conn) {
 		return
 	}
 	var hello repl.Hello
-	if err := repl.DecodeGob(payload, &hello); err != nil {
-		c.SendErr("ankerdb: bad hello")
+	if err := hello.Decode(payload); err != nil {
+		c.SendErr(fmt.Sprintf("ankerdb: bad hello: %v", err))
 		return
 	}
 	ns := hello.Namespace
@@ -205,7 +205,7 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 		sub = db.pub.Attach(replicaSendBuf)
 	}
 	defer db.pub.Detach(sub)
-	if err := c.SendGob(repl.MsgWelcome, repl.Welcome{Snapshot: snapshot, TS: db.oracle.Completed()}); err != nil {
+	if err := c.SendMessage(repl.MsgWelcome, repl.Welcome{Snapshot: snapshot, TS: db.oracle.Completed()}); err != nil {
 		return
 	}
 	if snapshot {
@@ -234,7 +234,7 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 				continue
 			}
 			var ack repl.Ack
-			if err := repl.DecodeGob(payload, &ack); err != nil {
+			if err := ack.Decode(payload); err != nil {
 				return
 			}
 			db.noteAck(peer, ack.AppliedTS)
@@ -275,11 +275,18 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 			// sub.C — the replica would ObserveCommitted(W) before applying
 			// them, serving torn snapshots and acking a watermark it never
 			// applied through.
+			//
+			// Advance first: a trailing validation conflict completes its
+			// timestamp without firing the oracle's complete hook, so the
+			// publisher would never hear of the watermark step. Every
+			// non-noop timestamp at or below Completed is already staged,
+			// so releasing up to it is safe.
+			db.pub.Advance(db.oracle.Completed())
 			w := db.pub.Watermark()
 			if !s.drainSub(c, sub) {
 				return
 			}
-			if err := c.WriteGob(repl.MsgHeartbeat, repl.Heartbeat{Watermark: w}); err != nil {
+			if err := c.WriteMessage(repl.MsgHeartbeat, repl.Heartbeat{Watermark: w}); err != nil {
 				return
 			}
 			if err := c.Flush(); err != nil {
@@ -317,7 +324,7 @@ func (s *Server) drainSub(c *repl.Conn, sub *repl.Subscriber) bool {
 // Advance) become heartbeat frames.
 func (s *Server) writeRecord(c *repl.Conn, rec repl.Record) error {
 	if rec.Type == repl.MsgHeartbeat {
-		return c.WriteGob(repl.MsgHeartbeat, repl.Heartbeat{Watermark: rec.TS})
+		return c.WriteMessage(repl.MsgHeartbeat, repl.Heartbeat{Watermark: rec.TS})
 	}
 	return c.WriteMsg(rec.Type, rec.Payload)
 }
@@ -329,11 +336,11 @@ func (s *Server) writeRecord(c *repl.Conn, rec repl.Record) error {
 func (s *Server) serveSession(c *repl.Conn, db *DB) {
 	if n := s.sessions.Add(1); n > int64(s.maxSessions) {
 		s.sessions.Add(-1)
-		_ = c.SendGob(repl.MsgErr, repl.WireErr{Msg: ErrTooManySessions.Error(), Code: errToWire(ErrTooManySessions)})
+		_ = c.SendMessage(repl.MsgErr, repl.WireErr{Msg: ErrTooManySessions.Error(), Code: errToWire(ErrTooManySessions)})
 		return
 	}
 	defer s.sessions.Add(-1)
-	if err := c.SendGob(repl.MsgWelcome, repl.Welcome{TS: db.oracle.Completed()}); err != nil {
+	if err := c.SendMessage(repl.MsgWelcome, repl.Welcome{TS: db.oracle.Completed()}); err != nil {
 		return
 	}
 	txns := map[uint64]*Txn{}
@@ -343,6 +350,11 @@ func (s *Server) serveSession(c *repl.Conn, db *DB) {
 		}
 	}()
 	var nextTxn uint64
+	// Declared once per session: &resp escapes through the Message
+	// interface, so a per-frame value would be a heap allocation per
+	// request.
+	var req wireReq
+	var resp wireResp
 	for {
 		typ, payload, err := c.ReadMsg()
 		if err != nil {
@@ -352,13 +364,12 @@ func (s *Server) serveSession(c *repl.Conn, db *DB) {
 			c.SendErr(fmt.Sprintf("ankerdb: unexpected frame type %d in session", typ))
 			return
 		}
-		var req wireReq
-		if err := repl.DecodeGob(payload, &req); err != nil {
-			c.SendErr("ankerdb: bad request")
+		if err := req.Decode(payload); err != nil {
+			c.SendErr(fmt.Sprintf("ankerdb: bad request: %v", err))
 			return
 		}
-		resp := serveReq(db, txns, &nextTxn, &req)
-		if err := c.SendGob(repl.MsgResponse, resp); err != nil {
+		resp = serveReq(db, txns, &nextTxn, &req)
+		if err := c.SendMessage(repl.MsgResponse, &resp); err != nil {
 			return
 		}
 	}
