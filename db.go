@@ -41,11 +41,11 @@ type DB struct {
 
 	// olapGate serialises snapshot-generation pins against a replica's
 	// in-place re-bootstrap. Every pin (OLAP Begin, Checkpoint, serving
-	// a bootstrap snapshot) holds the read side for the pin's lifetime;
-	// the re-bootstrap holds the write side, draining pinned readers
-	// and blocking new pins while applySnapTable fast-forwards the
-	// arrays (no version-chain pushes) and finishBootstrap resets the
-	// visibility logs — either of which breaks a generation pinned
+	// a bootstrap) holds the read side for the pin's lifetime; the
+	// re-bootstrap holds the write side, draining pinned readers and
+	// blocking new pins while loadTableSections fast-forwards the
+	// arrays (no version-chain pushes) and rebuildDerivedState resets
+	// the visibility logs — either of which breaks a generation pinned
 	// across it. Uncontended outside replica reconnects.
 	olapGate sync.RWMutex
 
@@ -191,7 +191,7 @@ type table struct {
 
 	// truncated is set by recovery when it replays a truncate marker:
 	// the killed rows (birth back to NeverTS) are indistinguishable
-	// from never-born ones, so rebuildRowState must be told not to
+	// from never-born ones, so rebuildAllocator must be told not to
 	// infer the unmutated initial-rows fast path — which would
 	// resurrect exactly the rows the truncation discarded.
 	truncated bool

@@ -167,8 +167,9 @@
 // several databases behind one port.
 //
 // WithReplicaOf(addr) opens the database as a read replica of a
-// serving primary: it bootstraps a checkpoint-style snapshot, then
-// continuously replays the primary's commit, load and schema records
+// serving primary: it bootstraps from a checkpoint the primary streams
+// over the connection (the same body, encoder and loader as a
+// checkpoint file and crash recovery), then continuously replays the primary's commit, load and schema records
 // through the same idempotent-by-commitTS rules crash recovery uses —
 // replication is recovery over the wire. The replica is a live
 // database serving OLAP snapshot reads at bounded, reported staleness

@@ -82,85 +82,10 @@ func (db *DB) Checkpoint() error {
 	db.mu.RUnlock()
 
 	start := time.Now()
-	// A fresh generation, not the current one: a column snapshot cached
-	// in the current generation by an earlier OLAP pin could predate a
-	// bulk load, and checkpointing it would persist pre-load data while
-	// the truncation below reclaims the load's (timestamp-less) records.
-	// Read side of the re-bootstrap gate (DB.olapGate): the pinned
-	// generation must not span a replica's in-place re-bootstrap, which
-	// fast-forwards the captured arrays under it.
-	db.olapGate.RLock()
-	defer db.olapGate.RUnlock()
-	g := db.snaps.acquireFresh()
-	defer db.snaps.release(g)
-	// Capture the table list only after the generation's timestamp is
-	// pinned: any table created from here on can only receive commit
-	// timestamps above it, so its rows are fully covered by the WAL
-	// records the truncation below g.ts retains. Dropped slots are
-	// skipped — their drop record survives in the schema log and replay
-	// re-drops whatever state an older checkpoint would have carried.
-	db.mu.RLock()
-	tabs := make([]*table, 0, len(db.tabList))
-	for _, t := range db.tabList {
-		if !t.dropped.Load() {
-			tabs = append(tabs, t)
-		}
-	}
-	db.mu.RUnlock()
-
+	g, tabs, release := db.pinCheckpoint()
+	defer release()
 	err := db.wal.WriteCheckpoint(g.ts, len(tabs), func(w *wal.CheckpointWriter) error {
-		for _, t := range tabs {
-			schema := t.st.Schema()
-			// Capture every column and the visibility arrays before
-			// writing anything: the table can grow chunk-wise while the
-			// checkpoint streams, so the table section's row count is
-			// the minimum captured capacity — rows born above it carry
-			// commit timestamps past the checkpoint's and replay from
-			// the retained WAL records.
-			snaps := make([]*colSnap, len(t.cols))
-			for i, c := range t.cols {
-				cs, err := g.colSnap(c)
-				if err != nil {
-					return err
-				}
-				snaps[i] = cs
-			}
-			vs, err := g.visSnap(t)
-			if err != nil {
-				return err
-			}
-			rows := vs.rows()
-			for _, cs := range snaps {
-				if cs.rows() < rows {
-					rows = cs.rows()
-				}
-			}
-			if err := w.BeginTable(t.idx, schema.Table, rows, len(t.cols)); err != nil {
-				return err
-			}
-			for _, cs := range snaps {
-				if err := storage.WriteWords(w, rows, cs.data.GetU); err != nil {
-					return err
-				}
-				if err := storage.WriteWords(w, rows, cs.wts.GetU); err != nil {
-					return err
-				}
-			}
-			if err := storage.WriteWords(w, rows, vs.data.GetU); err != nil {
-				return err
-			}
-			if err := storage.WriteWords(w, rows, vs.wts.GetU); err != nil {
-				return err
-			}
-			// The dictionary is read only now, after the last column
-			// capture: being append-only it is a superset of every code
-			// the captured words can hold, even with VARCHAR commits
-			// racing the checkpoint.
-			if err := w.FinishTable(t.st.Dict().Strings()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeTableSections(g, tabs, w)
 	})
 	if err != nil {
 		return err
@@ -175,6 +100,193 @@ func (db *DB) Checkpoint() error {
 	db.tel.checkpoint.Observe(elapsed)
 	db.tel.rec.Record(telemetry.EvCheckpoint, int64(g.ts), 0, elapsed.Nanoseconds())
 	return nil
+}
+
+// pinCheckpoint pins the snapshot a checkpoint body captures — for a
+// checkpoint file and a replica bootstrap alike — and lists the tables
+// it covers; release undoes both pins.
+//
+// The generation is a fresh one, not the current one: a column snapshot
+// cached in the current generation by an earlier OLAP pin could predate
+// a bulk load, and checkpointing it would persist pre-load data while
+// the WAL truncation reclaims the load's (timestamp-less) records. The
+// pin takes the read side of the re-bootstrap gate (DB.olapGate): the
+// generation must not span a replica's in-place re-bootstrap, which
+// fast-forwards the captured arrays under it. The table list is
+// captured only after the generation's timestamp is pinned: any table
+// created from here on can only receive commit timestamps above it, so
+// its rows are fully covered by the WAL records the truncation below
+// g.ts retains (or, on a replica, by the live stream attached before
+// the pin). Dropped slots are skipped — their drop record survives in
+// the schema log and replay re-drops whatever state an older
+// checkpoint would have carried.
+func (db *DB) pinCheckpoint() (g *generation, tabs []*table, release func()) {
+	db.olapGate.RLock()
+	g = db.snaps.acquireFresh()
+	return g, db.liveTables(), func() {
+		db.snaps.release(g)
+		db.olapGate.RUnlock()
+	}
+}
+
+// liveTables returns the tables not dropped, in slot order.
+func (db *DB) liveTables() []*table {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	tabs := make([]*table, 0, len(db.tabList))
+	for _, t := range db.tabList {
+		if !t.dropped.Load() {
+			tabs = append(tabs, t)
+		}
+	}
+	return tabs
+}
+
+// writeTableSections writes one checkpoint section per table of tabs,
+// captured at g: the only section encoder, behind both Checkpoint and
+// a replica bootstrap.
+func writeTableSections(g *generation, tabs []*table, w *wal.CheckpointWriter) error {
+	for _, t := range tabs {
+		// Capture every column and the visibility arrays before writing
+		// anything: the table can grow chunk-wise while the body streams,
+		// so the section's row count is the minimum captured capacity —
+		// rows born above it carry commit timestamps past g.ts and replay
+		// from the retained WAL records (or the replica's live stream).
+		snaps := make([]*colSnap, len(t.cols))
+		for i, c := range t.cols {
+			cs, err := g.colSnap(c)
+			if err != nil {
+				return err
+			}
+			snaps[i] = cs
+		}
+		vs, err := g.visSnap(t)
+		if err != nil {
+			return err
+		}
+		rows := vs.rows()
+		for _, cs := range snaps {
+			rows = min(rows, cs.rows())
+		}
+		if err := w.BeginTable(t.idx, t.st.Schema().Table, rows, len(t.cols)); err != nil {
+			return err
+		}
+		for _, cs := range snaps {
+			if err := storage.WriteWords(w, rows, cs.data.GetU); err != nil {
+				return err
+			}
+			if err := storage.WriteWords(w, rows, cs.wts.GetU); err != nil {
+				return err
+			}
+		}
+		if err := storage.WriteWords(w, rows, vs.data.GetU); err != nil {
+			return err
+		}
+		if err := storage.WriteWords(w, rows, vs.wts.GetU); err != nil {
+			return err
+		}
+		// The dictionary is read only now, after the last column capture:
+		// being append-only it is a superset of every code the captured
+		// words can hold, even with VARCHAR commits racing the capture.
+		if err := w.FinishTable(t.st.Dict().Strings()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadTableSections reads ntables checkpoint sections from r into the
+// tables they address: the only section decoder, behind both recovery
+// (the checkpoint file) and a replica bootstrap (the primary's stream).
+// Sections address tables by schema-log slot, not name: after a drop
+// and same-name re-creation both incarnations replayed from the schema
+// log, and a pre-drop checkpoint's section must load into the dropped
+// incarnation's slot (the pending drop record then clears it), never
+// the new table's. Tables grow to the section's captured capacity
+// first — a checkpoint taken after inserts covers more rows than the
+// schema log's initial count. Column bodies then arrive as fixed-size
+// word windows stored in place through page-wise bulk writes, so
+// memory stays O(chunk) however large the columns are. On a replica
+// the load is a fast-forward: the body is the primary's state at its
+// timestamp, at or above anything the replica holds.
+//
+// It returns the maximum commit timestamp of any loaded row (write,
+// birth or death stamps), which can exceed the body's own timestamp
+// when the capture saw rows committed after it; the oracle must be
+// seeded above it.
+func (db *DB) loadTableSections(ntables int, r *wal.CheckpointReader) (uint64, error) {
+	var maxStamp uint64
+	for i := 0; i < ntables; i++ {
+		slot, name, rows, cols, err := r.TableHeader()
+		if err != nil {
+			return 0, err
+		}
+		db.mu.RLock()
+		n := len(db.tabList)
+		var t *table
+		if slot >= 0 && slot < n {
+			t = db.tabList[slot]
+		}
+		db.mu.RUnlock()
+		switch {
+		case t == nil:
+			return 0, fmt.Errorf("checkpointed table %q claims slot %d of %d", name, slot, n)
+		case t.st.Schema().Table != name:
+			return 0, fmt.Errorf("checkpointed table %q at slot %d, schema log says %q", name, slot, t.st.Schema().Table)
+		case len(t.cols) != cols:
+			return 0, fmt.Errorf("checkpointed table %q has %d columns, schema log says %d", name, cols, len(t.cols))
+		case rows < 0 || rows > maxRecoveredRow:
+			return 0, fmt.Errorf("checkpointed table %q claims %d rows", name, rows)
+		}
+		if err := db.growRecovered(t, rows-1); err != nil {
+			return 0, err
+		}
+		stamp, err := db.fillSection(t, rows, r)
+		if err != nil {
+			return 0, err
+		}
+		maxStamp = max(maxStamp, stamp)
+	}
+	return maxStamp, nil
+}
+
+// fillSection streams one section's arrays and dictionary into t
+// under every shard lock — uncontended during recovery, on a replica it
+// keeps a snapshot capture from seeing a torn mix — and returns the
+// newest commit timestamp among the loaded stamps.
+func (db *DB) fillSection(t *table, rows int, r *wal.CheckpointReader) (uint64, error) {
+	var maxStamp uint64
+	stamped := func(e *storage.Extent) func(int, []uint64) {
+		return func(start int, words []uint64) {
+			for _, v := range words {
+				if v != storage.NeverTS && v > maxStamp { // NeverTS: unborn
+					maxStamp = v
+				}
+			}
+			e.FillWindow(start, words)
+		}
+	}
+	db.lockAllShards()
+	defer db.unlockAllShards()
+	for _, c := range t.cols {
+		if err := storage.ReadWordsRegion(r, rows, c.data.FillWindow); err != nil {
+			return 0, err
+		}
+		if err := storage.ReadWordsRegion(r, rows, stamped(c.wts)); err != nil {
+			return 0, err
+		}
+	}
+	for _, e := range []*storage.Extent{t.st.Birth(), t.st.Death()} {
+		if err := storage.ReadWordsRegion(r, rows, stamped(e)); err != nil {
+			return 0, err
+		}
+	}
+	dict, err := r.TableDict()
+	if err != nil {
+		return 0, err
+	}
+	t.st.Dict().Load(dict)
+	return maxStamp, nil
 }
 
 // autoCkptDue reports whether WAL growth since the last checkpoint has
@@ -402,7 +514,11 @@ func (db *DB) recover() error {
 		return fmt.Errorf("ankerdb: recovery: schema log: %w", err)
 	}
 
-	ckptTS, ckptMaxWTS, err := db.loadCheckpoint()
+	var ckptMaxWTS uint64
+	ckptTS, _, err := db.wal.LoadCheckpoint(func(_ uint64, ntables int, r *wal.CheckpointReader) (err error) {
+		ckptMaxWTS, err = db.loadTableSections(ntables, r)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("ankerdb: recovery: %w", err)
 	}
@@ -418,7 +534,8 @@ func (db *DB) recover() error {
 		maxTS = ckptMaxWTS
 	}
 	visOps := map[visKey][]visOp{}
-	cols := make([]*column, 0, 8)
+	var cols []*column
+	var tabs []*table
 	if err := db.wal.ReplayCommits(func(rec wal.LoadRecord) error {
 		// Bulk-load chunks are the state at time zero: a chunk value
 		// lands only on rows no commit has ever stamped, so replay is
@@ -452,36 +569,16 @@ func (db *DB) recover() error {
 		if rec.TS <= ckptTS {
 			return nil // fully covered by the checkpoint
 		}
-		// Resolve every address before applying anything: a record that
-		// references state beyond the durable schema prefix (possible
-		// only under SyncNone, when OS writeback persisted a segment
-		// page but not the schema log) is skipped whole — like a torn
-		// tail, and without breaking per-transaction atomicity. It must
-		// not fail recovery: that would make the directory permanently
-		// unopenable over a policy that only promises to lose recent
-		// commits. Rows above the recovered capacity are not errors —
-		// inserts put them there — so tables grow chunk-wise on demand.
-		cols = cols[:0]
-		for _, w := range rec.Writes {
-			c, ok := db.recoveredColumn(w)
-			if !ok {
-				return nil
-			}
-			cols = append(cols, c)
-		}
-		for _, op := range rec.Ops {
-			if op.Table < 0 || op.Table >= len(db.tabList) {
-				return nil
-			}
-			if op.Row < 0 || op.Row >= maxRecoveredRow {
-				return nil
-			}
-		}
-		for _, op := range rec.Ops {
-			t := db.tabList[op.Table]
-			if err := db.growRecovered(t, op.Row); err != nil {
-				return err
-			}
+		// A record that references state beyond the durable schema
+		// prefix (possible only under SyncNone, when OS writeback
+		// persisted a segment page but not the schema log) is skipped
+		// whole — like a torn tail. It must not fail recovery: that
+		// would make the directory permanently unopenable over a policy
+		// that only promises to lose recent commits.
+		var ok bool
+		var err error
+		if cols, tabs, ok, err = db.resolveCommit(rec, cols[:0], tabs[:0]); !ok {
+			return err
 		}
 		for i, w := range rec.Writes {
 			c := cols[i]
@@ -526,17 +623,7 @@ func (db *DB) recover() error {
 			db.freeDropped(t)
 		}
 	}
-	db.rebuildRowState()
-	// Replay wrote straight into the arrays without maintaining zone
-	// maps; rebuild them exactly while recovery is still single-threaded
-	// (floor 0: chains are empty after recovery, nothing is reclaimed
-	// that the arrays don't already show).
-	db.recomputeZones(0)
-	// Secondary indexes rebuild from the same recovered arrays — the
-	// durable prefix, torn tails already cut — so post-recovery probes
-	// match scans at every timestamp (index_db.go documents the
-	// rebuild-vs-log trade).
-	db.rebuildIndexes()
+	db.recoveredIndexes = db.rebuildDerivedState()
 	db.oracle.Seed(maxTS)
 	db.recoveredTxns = replayed
 	db.recoveredLoads = loads
@@ -577,55 +664,82 @@ func (db *DB) applyVisOps(visOps map[visKey][]visOp) {
 	}
 }
 
-// rebuildRowState recomputes every table's row allocator from the
-// recovered visibility arrays: the high-water mark covers every slot
-// ever used, slots whose reclaimed state a checkpoint persisted
-// (birth NeverTS with a death stamp) return to the free list, and
-// visMutated reflects whether any row was ever transactionally born
-// or killed.
-func (db *DB) rebuildRowState() {
-	for _, t := range db.tabList {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		var live int64
-		mutated := t.truncated
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-				if d == 0 {
-					live++
-				}
-				if b != 0 || d != 0 {
-					mutated = true
-				}
-			case d != 0:
-				// Reclaimed by a pre-crash Vacuum and persisted by a
-				// checkpoint: the slot is free for reuse.
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-				mutated = true
+// rebuildDerivedState recomputes, under every shard lock, the state
+// the arrays alone determine after a bulk fill — recovery's replay and
+// a replica's bootstrap: row allocators and visibility-log bases, then
+// zone maps, then secondary-index contents. Fills write straight into
+// the arrays without maintaining any of it. The rebuild is exact at
+// floor 0: version chains are empty (recovery) or unreachable (a
+// bootstrap drains every pinned reader first), so nothing is reclaimed
+// that the arrays don't already show, and indexes built from the
+// filled arrays match scans at every timestamp (index_db.go documents
+// the rebuild-vs-log trade). It returns the number of indexes rebuilt.
+func (db *DB) rebuildDerivedState() int {
+	db.lockAllShards()
+	defer db.unlockAllShards()
+	tabs := db.liveTables()
+	rebuildRowState(tabs)
+	indexes := 0
+	for _, t := range tabs {
+		for _, c := range t.cols {
+			c.recomputeZones(0)
+			if old := c.idx.Load(); old != nil {
+				c.idx.Store(buildColumnIndex(c, old.Kind(), 0))
+				indexes++
 			}
 		}
-		t.next, t.free = next, free
-		if next > t.st.InitialRows() {
-			mutated = true
-		}
+	}
+	return indexes
+}
+
+// rebuildRowState recomputes each table's row allocator from its
+// visibility arrays, sets visMutated, and collapses the visibility
+// history into the log's base: the arrays already reflect every row op,
+// and every reachable read timestamp sits above them.
+func rebuildRowState(tabs []*table) {
+	for _, t := range tabs {
+		live, mutated := t.rebuildAllocator()
 		t.visMutated.Store(mutated)
-		// The recovered arrays already reflect every durable row op and
-		// every reachable read timestamp sits above them, so the whole
-		// visibility history collapses into the log's base.
 		t.visLogReset(live - int64(t.st.InitialRows()))
 	}
+}
+
+// rebuildAllocator recomputes t's row allocator from its visibility
+// arrays: the high-water mark covers every slot ever used, and slots
+// whose reclaimed state a checkpoint persisted (birth NeverTS with a
+// death stamp) return to the free list. It returns the live-row count
+// and whether any row was ever transactionally born or killed.
+func (t *table) rebuildAllocator() (live int64, mutated bool) {
+	birth, death := t.st.Birth(), t.st.Death()
+	next := t.st.InitialRows()
+	var free []int
+	mutated = t.truncated
+	for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
+		b, d := birth.GetU(row), death.GetU(row)
+		switch {
+		case b != storage.NeverTS:
+			next = max(next, row+1)
+			if d == 0 {
+				live++
+			}
+			if b != 0 || d != 0 {
+				mutated = true
+			}
+		case d != 0:
+			// Reclaimed by a Vacuum and persisted by a checkpoint: the
+			// slot is free for reuse.
+			free = append(free, row)
+			next = max(next, row+1)
+			mutated = true
+		}
+	}
+	if next > t.st.InitialRows() {
+		mutated = true
+	}
+	t.amu.Lock()
+	t.next, t.free = next, free
+	t.amu.Unlock()
+	return live, mutated
 }
 
 // growRecovered grows t (and its per-chunk scan metadata) to cover
@@ -644,31 +758,59 @@ func (db *DB) growRecovered(t *table, row int) error {
 	return nil
 }
 
-// recoveredColumn resolves a redo write's column against the
-// recovered schema, growing the table when the write lands above its
-// recovered capacity (rows born by inserts); ok is false for
-// addresses the durable schema prefix does not cover.
-func (db *DB) recoveredColumn(w wal.RedoWrite) (*column, bool) {
-	if w.Table < 0 || w.Table >= len(db.tabList) {
-		return nil, false
+// resolveCommit resolves every address of a commit record before
+// anything applies — each write's column and each row op's table —
+// against the applied schema, appending to cols and tabs, and grows
+// the tables chunk-wise to cover the rows touched (rows above the
+// capacity are not errors: inserts put them there). ok is false when
+// an address lies beyond the schema prefix or past maxRecoveredRow:
+// the caller skips the record whole, keeping per-transaction
+// atomicity. Recovery and a replica's live apply share it.
+func (db *DB) resolveCommit(rec wal.CommitRecord, cols []*column, tabs []*table) ([]*column, []*table, bool, error) {
+	db.mu.RLock()
+	table := func(tab, row int) *table {
+		if tab < 0 || tab >= len(db.tabList) || row < 0 || row >= maxRecoveredRow {
+			return nil
+		}
+		return db.tabList[tab]
 	}
-	t := db.tabList[w.Table]
-	if w.Col < 0 || w.Col >= len(t.cols) {
-		return nil, false
+	for _, w := range rec.Writes {
+		t := table(w.Table, w.Row)
+		if t == nil || w.Col < 0 || w.Col >= len(t.cols) {
+			db.mu.RUnlock()
+			return cols, tabs, false, nil
+		}
+		cols = append(cols, t.cols[w.Col])
 	}
-	if w.Row < 0 || w.Row >= maxRecoveredRow {
-		return nil, false
+	for _, op := range rec.Ops {
+		t := table(op.Table, op.Row)
+		if t == nil {
+			db.mu.RUnlock()
+			return cols, tabs, false, nil
+		}
+		tabs = append(tabs, t)
 	}
-	if err := db.growRecovered(t, w.Row); err != nil {
-		return nil, false
+	db.mu.RUnlock()
+	for i, w := range rec.Writes {
+		if err := db.growRecovered(cols[i].tab, w.Row); err != nil {
+			return cols, tabs, false, err
+		}
 	}
-	return t.cols[w.Col], true
+	for i, op := range rec.Ops {
+		if err := db.growRecovered(tabs[i], op.Row); err != nil {
+			return cols, tabs, false, err
+		}
+	}
+	return cols, tabs, true, nil
 }
 
 // recoveredLoadColumn resolves a bulk-load chunk's column and validates
-// its window and value type against the recovered schema; ok is false
-// when the durable schema prefix does not cover it.
+// its window and value type against the applied schema; ok is false
+// when the schema prefix does not cover it. Recovery and a replica's
+// live apply share it.
 func (db *DB) recoveredLoadColumn(r wal.LoadRecord) (*column, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if r.Table < 0 || r.Table >= len(db.tabList) {
 		return nil, false
 	}
@@ -688,98 +830,4 @@ func (db *DB) recoveredLoadColumn(r wal.LoadRecord) (*column, bool) {
 		return nil, false
 	}
 	return c, true
-}
-
-// loadCheckpoint streams the newest checkpoint, if any, into the
-// recreated tables: column bodies arrive as fixed-size word windows
-// (storage.ReadWordsRegion) stored in place through page-wise bulk
-// writes, so restart memory stays O(chunk) however large the columns
-// are. Tables grow to the checkpointed capacity first — a checkpoint
-// taken after inserts covers more rows than the schema log's initial
-// count — and the visibility (birth/death) arrays stream back after
-// the columns. It returns the checkpoint timestamp and the maximum
-// commit timestamp of any loaded row (write, birth or death stamps;
-// both 0 without a checkpoint) — the latter can exceed the former when
-// the checkpoint captured rows committed after its timestamp, and the
-// oracle must be seeded above it.
-func (db *DB) loadCheckpoint() (uint64, uint64, error) {
-	var maxWTS uint64
-	noteTS := func(v uint64) {
-		if v != storage.NeverTS && v > maxWTS {
-			maxWTS = v
-		}
-	}
-	ts, ok, err := db.wal.LoadCheckpoint(func(_ uint64, ntables int, r *wal.CheckpointReader) error {
-		for i := 0; i < ntables; i++ {
-			slot, name, rows, cols, err := r.TableHeader()
-			if err != nil {
-				return err
-			}
-			// Sections address tables by schema-log slot, not name: after
-			// a drop and same-name re-creation both incarnations replayed
-			// from the schema log, and a pre-drop checkpoint's section
-			// must load into the dropped incarnation's slot (the pending
-			// drop record then clears it), never the new table's.
-			if slot < 0 || slot >= len(db.tabList) {
-				return fmt.Errorf("checkpointed table %q claims slot %d of %d", name, slot, len(db.tabList))
-			}
-			t := db.tabList[slot]
-			if got := t.st.Schema().Table; got != name {
-				return fmt.Errorf("checkpointed table %q at slot %d, schema log says %q", name, slot, got)
-			}
-			if len(t.cols) != cols {
-				return fmt.Errorf("checkpointed table %q has %d columns, schema log says %d",
-					name, cols, len(t.cols))
-			}
-			if rows < 0 || rows > maxRecoveredRow {
-				return fmt.Errorf("checkpointed table %q claims %d rows", name, rows)
-			}
-			if err := db.growRecovered(t, rows-1); err != nil {
-				return err
-			}
-			for _, c := range t.cols {
-				if err := storage.ReadWordsRegion(r, rows, c.data.FillWindow); err != nil {
-					return err
-				}
-				if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-					for _, v := range words {
-						noteTS(v)
-					}
-					c.wts.FillWindow(start, words)
-				}); err != nil {
-					return err
-				}
-			}
-			birth, death := t.st.Birth(), t.st.Death()
-			if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-				for _, v := range words {
-					noteTS(v) // NeverTS (unborn) is excluded from the seed
-				}
-				birth.FillWindow(start, words)
-			}); err != nil {
-				return err
-			}
-			if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-				for _, v := range words {
-					noteTS(v)
-				}
-				death.FillWindow(start, words)
-			}); err != nil {
-				return err
-			}
-			dict, err := r.TableDict()
-			if err != nil {
-				return err
-			}
-			t.st.Dict().Load(dict)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if !ok {
-		return 0, 0, nil
-	}
-	return ts, maxWTS, nil
 }

@@ -123,22 +123,3 @@ func (db *DB) DropIndex(tab, col string) error {
 	}
 	return nil
 }
-
-// rebuildIndexes gives every surviving index its contents after
-// recovery replay: the recovered arrays reflect exactly the durable
-// prefix (including a torn tail cut off by rebuildRowState), version
-// chains are empty, and nothing runs concurrently — so a full rebuild
-// at floor 0 is deterministic and exact at every timestamp.
-func (db *DB) rebuildIndexes() {
-	for _, t := range db.tabList {
-		if t.dropped.Load() {
-			continue
-		}
-		for _, c := range t.cols {
-			if old := c.idx.Load(); old != nil {
-				c.idx.Store(buildColumnIndex(c, old.Kind(), 0))
-				db.recoveredIndexes++
-			}
-		}
-	}
-}

@@ -303,10 +303,20 @@ func TestChainConcurrentReadersDuringPush(t *testing.T) {
 			c.Push(7, int64(i), uint64(i))
 		}
 	}()
+	// While pushes are in flight the chain may hold only a prefix of
+	// versions, and VisibleAt then correctly returns the newest one so
+	// far. What must hold: never a version newer than the read
+	// timestamp, and never an older one than a previous read saw.
+	var last int64
 	for j := 0; j < 2000; j++ {
-		if v, ok := c.VisibleAt(7, 1000); ok && v != 1000 {
-			t.Fatalf("reader at 1000 saw %d", v)
+		v, ok := c.VisibleAt(7, 1000)
+		if !ok && last == 0 {
+			continue // no version pushed yet
 		}
+		if !ok || v > 1000 || v < last {
+			t.Fatalf("reader at 1000 saw %d after %d", v, last)
+		}
+		last = v
 	}
 	<-done
 	if v, ok := c.VisibleAt(7, 1000); !ok || v != 1000 {

@@ -22,8 +22,6 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 		{Hello{Role: RoleSession}, &Hello{}},
 		{Welcome{Snapshot: true, TS: 99}, &Welcome{}},
 		{Welcome{}, &Welcome{}},
-		{SnapBegin{TS: 12, Tables: 3}, &SnapBegin{}},
-		{SnapEnd{TS: 12}, &SnapEnd{}},
 		{Heartbeat{Watermark: ^uint64(0)}, &Heartbeat{}},
 		{Ack{AppliedTS: 7}, &Ack{}},
 		{WireErr{Msg: "boom: ü", Code: 13}, &WireErr{}},
@@ -103,10 +101,6 @@ func FuzzDecodeHello(f *testing.F) {
 }
 
 func FuzzDecodeWelcome(f *testing.F) { fuzzDecode(f, Welcome{Snapshot: true, TS: 9}) }
-
-func FuzzDecodeSnapBegin(f *testing.F) { fuzzDecode(f, SnapBegin{TS: 4, Tables: 2}) }
-
-func FuzzDecodeSnapEnd(f *testing.F) { fuzzDecode(f, SnapEnd{TS: 4}) }
 
 func FuzzDecodeHeartbeat(f *testing.F) { fuzzDecode(f, Heartbeat{Watermark: 8}) }
 

@@ -1,6 +1,6 @@
 // Package repl is the replication and serving transport of AnKerDB: a
 // minimal length-prefixed framed protocol over which a primary streams
-// durable WAL record payloads (plus a snapshot bootstrap) to read
+// durable WAL record payloads (after a checkpoint bootstrap) to read
 // replicas, and clients run remote sessions — and the publisher that
 // feeds every replica stream in commit order.
 //
@@ -14,17 +14,16 @@
 // misparsed. Payload encoding depends on the type: replication record
 // types (MsgCommit, MsgLoad, MsgSchema) carry WAL record payloads
 // verbatim (internal/wal encoding — the replica replays exactly the
-// bytes the primary made durable), snapshot table bodies carry the raw
-// column-word layout described in the root package, and every control
-// message (hello, heartbeat, session requests, ...) is one fixed
-// little-endian field layout written by Enc and read by Dec: integers
-// are u8/u64, strings and blobs a u32 length then the bytes, slices a
-// u32 count then the elements. The layouts are:
+// bytes the primary made durable), MsgCheckpoint frames carry
+// consecutive chunks of one checkpoint body (internal/wal encoding — a
+// bootstrap is a checkpoint streamed over the connection), and every
+// control message (hello, heartbeat, session requests, ...) is one
+// fixed little-endian field layout written by Enc and read by Dec:
+// integers are u8/u64, strings and blobs a u32 length then the bytes,
+// slices a u32 count then the elements. The layouts are:
 //
 //	Hello      [version u8][role str][namespace str][afterTS u64]
 //	Welcome    [snapshot u8][ts u64]
-//	SnapBegin  [ts u64][tables u64]
-//	SnapEnd    [ts u64]
 //	Heartbeat  [watermark u64]
 //	Ack        [appliedTS u64]
 //	WireErr    [code u8][msg str]
@@ -64,13 +63,10 @@ const (
 	// MsgSchema carries one schema-log record payload (table creation,
 	// index DDL or table DDL) in WAL encoding.
 	MsgSchema MsgType = 3
-	// MsgSnapBegin opens a snapshot bootstrap: SnapBegin.
-	MsgSnapBegin MsgType = 4
-	// MsgSnapTable carries one table's snapshot body (raw column words;
-	// layout owned by the root package).
-	MsgSnapTable MsgType = 5
-	// MsgSnapEnd closes a snapshot bootstrap: SnapEnd.
-	MsgSnapEnd MsgType = 6
+	// MsgCheckpoint carries the next chunk (at most MaxChunk bytes) of
+	// a bootstrap's checkpoint body; an empty chunk ends the body. (Types
+	// 5 and 6 belonged to the protocol-1 snapshot frames and are unused.)
+	MsgCheckpoint MsgType = 4
 	// MsgCommit carries one commit record payload in WAL encoding.
 	MsgCommit MsgType = 7
 	// MsgLoad carries one bulk-load chunk record payload in WAL encoding.
@@ -94,7 +90,7 @@ const (
 
 // ProtoVersion is the wire protocol version, the first byte of every
 // Hello. Bump it whenever a frame layout changes.
-const ProtoVersion uint8 = 1
+const ProtoVersion uint8 = 2
 
 // Message is a control or session message with a fixed binary layout:
 // AppendTo appends its encoding to dst.
@@ -137,9 +133,10 @@ func (h *Hello) Decode(p []byte) error {
 
 // Welcome accepts a Hello.
 type Welcome struct {
-	// Snapshot reports whether a snapshot bootstrap (schema frames,
-	// SnapBegin ... SnapEnd) precedes the live stream. False when the
-	// primary can resume the replica from its retained record history.
+	// Snapshot reports whether a bootstrap (schema frames, then a
+	// checkpoint in MsgCheckpoint chunks) precedes the live stream.
+	// False when the primary can resume the replica from its retained
+	// record history.
 	Snapshot bool
 	// TS is the primary's completion watermark at accept time.
 	TS uint64
@@ -157,33 +154,6 @@ func (w *Welcome) Decode(p []byte) error {
 	*w = Welcome{Snapshot: d.Bool(), TS: d.U64()}
 	return d.Done()
 }
-
-// SnapBegin opens a snapshot bootstrap.
-type SnapBegin struct {
-	TS     uint64 // snapshot timestamp: the state of every table at TS
-	Tables int    // number of MsgSnapTable frames that follow
-}
-
-func (b SnapBegin) AppendTo(dst []byte) []byte {
-	e := Enc{B: dst}
-	e.U64(b.TS)
-	e.I64(int64(b.Tables))
-	return e.B
-}
-
-func (b *SnapBegin) Decode(p []byte) error {
-	d := NewDec(p)
-	*b = SnapBegin{TS: d.U64(), Tables: int(d.I64())}
-	return d.Done()
-}
-
-// SnapEnd closes a snapshot bootstrap; the live stream follows.
-type SnapEnd struct {
-	TS uint64 // equals the SnapBegin TS
-}
-
-func (s SnapEnd) AppendTo(dst []byte) []byte { return appendU64(dst, s.TS) }
-func (s *SnapEnd) Decode(p []byte) error     { return decodeU64(p, &s.TS) }
 
 // Heartbeat publishes the primary's completion watermark.
 type Heartbeat struct {
@@ -237,10 +207,16 @@ func (e *WireErr) Decode(p []byte) error {
 // hostile stream (matches the WAL's frame bound).
 const maxFrameLen = 1 << 30
 
-// maxKeptEncodeBuf bounds the encode buffer a Conn keeps between
-// messages, so one large response (a Scan) does not pin its size for
-// the connection's lifetime.
-const maxKeptEncodeBuf = 1 << 16
+// maxKeptBuf bounds the encode and read buffers a Conn keeps between
+// frames, so one large frame (a Scan response) does not pin its size
+// for the connection's lifetime.
+const maxKeptBuf = 1 << 16
+
+// MaxChunk bounds the checkpoint bytes one MsgCheckpoint frame
+// carries: the frame body (type byte + chunk) fits the read buffer a
+// Conn keeps, so a bootstrap of any size streams through O(chunk)
+// memory on both ends.
+const MaxChunk = maxKeptBuf - 1
 
 // Conn frames messages over a byte stream. Writes are buffered —
 // callers batch records and Flush at stream quiescence points; the
@@ -323,7 +299,7 @@ func (c *Conn) WriteMessage(t MsgType, m Message) error {
 func (c *Conn) writeMessageLocked(t MsgType, m Message) error {
 	c.wbuf = m.AppendTo(c.wbuf[:0])
 	err := c.writeMsgLocked(t, c.wbuf)
-	if cap(c.wbuf) > maxKeptEncodeBuf {
+	if cap(c.wbuf) > maxKeptBuf {
 		c.wbuf = nil
 	}
 	return err
@@ -348,8 +324,9 @@ func (c *Conn) Flush() error {
 }
 
 // ReadMsg reads the next frame. The returned payload is only valid
-// until the next ReadMsg call. A bad length or checksum returns an
-// error — the stream cannot be trusted past it.
+// until the next ReadMsg call. Only frames up to maxKeptBuf reuse the
+// connection's read buffer; a larger one gets its own. A bad length or
+// checksum returns an error — the stream cannot be trusted past it.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -362,10 +339,15 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	if n == 0 || n > maxFrameLen {
 		return 0, nil, fmt.Errorf("repl: frame body length %d out of range", n)
 	}
-	if uint64(n) > uint64(cap(c.rbuf)) {
-		c.rbuf = make([]byte, n)
+	var body []byte
+	if n > maxKeptBuf {
+		body = make([]byte, n) // one-off: not kept past this frame
+	} else {
+		if int(n) > cap(c.rbuf) {
+			c.rbuf = make([]byte, n)
+		}
+		body = c.rbuf[:n]
 	}
-	body := c.rbuf[:n]
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return 0, nil, err
 	}
@@ -379,4 +361,100 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 // connection is about to close.
 func (c *Conn) SendErr(msg string) {
 	_ = c.SendMessage(MsgErr, WireErr{Msg: msg})
+}
+
+// ChunkWriter is the sending end of a bootstrap's checkpoint body: an
+// io.Writer that ships its bytes as MsgCheckpoint frames of at most
+// MaxChunk bytes. Close sends the rest and the empty end-of-body frame,
+// then flushes.
+type ChunkWriter struct {
+	c   *Conn
+	buf []byte
+}
+
+// NewChunkWriter returns a ChunkWriter framing onto c.
+func NewChunkWriter(c *Conn) *ChunkWriter {
+	return &ChunkWriter{c: c, buf: make([]byte, 0, MaxChunk)}
+}
+
+// Write implements io.Writer.
+func (w *ChunkWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		k := copy(w.buf[len(w.buf):MaxChunk], p)
+		w.buf, p = w.buf[:len(w.buf)+k], p[k:]
+		if len(w.buf) == MaxChunk {
+			if err := w.c.WriteMsg(MsgCheckpoint, w.buf); err != nil {
+				return 0, err
+			}
+			w.buf = w.buf[:0]
+		}
+	}
+	return n, nil
+}
+
+// Close ends the body: the buffered rest, the empty end frame, flush.
+func (w *ChunkWriter) Close() error {
+	if len(w.buf) > 0 {
+		if err := w.c.WriteMsg(MsgCheckpoint, w.buf); err != nil {
+			return err
+		}
+	}
+	if err := w.c.WriteMsg(MsgCheckpoint, nil); err != nil {
+		return err
+	}
+	return w.c.Flush()
+}
+
+// ChunkReader is the receiving end of a bootstrap: an io.Reader over
+// consecutive MsgCheckpoint frames that reports io.EOF at the empty end
+// frame, so the checkpoint decoder's end-of-input check sees exactly
+// one body. MsgSchema frames ahead of the first chunk (the schema log a
+// bootstrap ships first) go to schema. Every frame read is deadlined
+// by timeout, so a peer that stalls mid-bootstrap fails the read
+// instead of hanging it; a MsgErr frame becomes the error, and any
+// other frame type is a protocol violation.
+type ChunkReader struct {
+	c       *Conn
+	timeout time.Duration
+	schema  func(payload []byte) error
+	chunk   []byte // unread rest of the current frame (aliases c's read buffer)
+	started bool
+	done    bool
+}
+
+// NewChunkReader returns a ChunkReader reading from c.
+func NewChunkReader(c *Conn, timeout time.Duration, schema func(payload []byte) error) *ChunkReader {
+	return &ChunkReader{c: c, timeout: timeout, schema: schema}
+}
+
+// Read implements io.Reader.
+func (r *ChunkReader) Read(p []byte) (int, error) {
+	for len(r.chunk) == 0 {
+		if r.done {
+			return 0, io.EOF
+		}
+		_ = r.c.SetReadDeadline(time.Now().Add(r.timeout))
+		typ, payload, err := r.c.ReadMsg()
+		if err != nil {
+			return 0, err
+		}
+		switch {
+		case typ == MsgCheckpoint:
+			r.chunk, r.started, r.done = payload, true, len(payload) == 0
+		case typ == MsgSchema && !r.started:
+			if err := r.schema(payload); err != nil {
+				return 0, err
+			}
+		case typ == MsgErr:
+			var we WireErr
+			_ = we.Decode(payload)
+			return 0, fmt.Errorf("repl: peer aborted bootstrap: %s", we.Msg)
+		default:
+			return 0, fmt.Errorf("repl: unexpected frame type %d during bootstrap", typ)
+		}
+	}
+	n := copy(p, r.chunk)
+	r.chunk = r.chunk[n:]
+	return n, nil
 }

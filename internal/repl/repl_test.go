@@ -1,10 +1,13 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func pipeConns(t *testing.T) (*Conn, *Conn) {
@@ -465,4 +468,75 @@ func BenchmarkPublisherStage(b *testing.B) {
 			p.Advance(ts)
 		}
 	})
+}
+
+// TestReadBufferBound: a frame larger than maxKeptBuf is read into a
+// one-off buffer, so the read buffer a Conn keeps stays bounded by
+// maxKeptBuf however large a frame once was.
+func TestReadBufferBound(t *testing.T) {
+	ca, cb := pipeConns(t)
+	big := make([]byte, 1<<20)
+	big[len(big)-1] = 7
+	go func() {
+		_ = ca.WriteMsg(MsgCommit, big)
+		for i := 0; i < 3; i++ {
+			_ = ca.WriteMsg(MsgLoad, []byte("small"))
+		}
+		_ = ca.Flush()
+	}()
+	typ, payload, err := cb.ReadMsg()
+	if err != nil || typ != MsgCommit || len(payload) != len(big) || payload[len(big)-1] != 7 {
+		t.Fatalf("large frame: type=%d len=%d err=%v", typ, len(payload), err)
+	}
+	if c := cap(cb.rbuf); c > maxKeptBuf {
+		t.Fatalf("kept read buffer %d bytes after a large frame, bound %d", c, maxKeptBuf)
+	}
+	for i := 0; i < 3; i++ {
+		typ, payload, err := cb.ReadMsg()
+		if err != nil || typ != MsgLoad || string(payload) != "small" {
+			t.Fatalf("small frame %d: type=%d payload=%q err=%v", i, typ, payload, err)
+		}
+		if c := cap(cb.rbuf); c > maxKeptBuf {
+			t.Fatalf("kept read buffer %d bytes, bound %d", c, maxKeptBuf)
+		}
+	}
+}
+
+// TestChunkStream: a ChunkWriter body arrives byte-identical through a
+// ChunkReader, after the schema frames that precede it; the reader
+// stops at the end frame, leaving the next frame for the live stream.
+func TestChunkStream(t *testing.T) {
+	ca, cb := pipeConns(t)
+	body := make([]byte, 3*MaxChunk+123)
+	for i := range body {
+		body[i] = byte(i * 31)
+	}
+	go func() {
+		_ = ca.WriteMsg(MsgSchema, []byte("s0"))
+		w := NewChunkWriter(ca)
+		for p := body; len(p) > 0; {
+			k := min(len(p), 1000)
+			if _, err := w.Write(p[:k]); err != nil {
+				return
+			}
+			p = p[k:]
+		}
+		_ = w.Close()
+		_ = ca.SendMessage(MsgHeartbeat, Heartbeat{Watermark: 9})
+	}()
+	var schema []string
+	r := NewChunkReader(cb, time.Minute, func(p []byte) error {
+		schema = append(schema, string(p))
+		return nil
+	})
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("body: %d of %d bytes, equal %v, err %v", len(got), len(body), bytes.Equal(got, body), err)
+	}
+	if !reflect.DeepEqual(schema, []string{"s0"}) {
+		t.Fatalf("schema frames = %q", schema)
+	}
+	if typ, _, err := cb.ReadMsg(); err != nil || typ != MsgHeartbeat {
+		t.Fatalf("frame after the body: type=%d err=%v", typ, err)
+	}
 }

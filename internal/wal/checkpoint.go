@@ -9,6 +9,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Checkpoint file layout (all integers little-endian):
@@ -40,10 +41,13 @@ import (
 // checkpoint can never leave a dangling code in the checkpointed
 // columns.
 //
-// The file is written to a temporary name and atomically renamed, so a
-// crash mid-checkpoint leaves the previous checkpoint authoritative;
-// the trailer plus whole-file CRC reject any file that somehow ends up
-// incomplete.
+// The same body is a checkpoint file and a replica bootstrap:
+// EncodeCheckpoint and DecodeCheckpoint stream it through any
+// io.Writer / io.Reader, and WriteCheckpoint / LoadCheckpoint add only
+// the file handling. The file is written to a temporary name and
+// atomically renamed, so a crash mid-checkpoint leaves the previous
+// checkpoint authoritative; the trailer plus whole-body CRC reject any
+// body that somehow ends up incomplete.
 
 var (
 	ckptMagic   = []byte("ANKCKPT3")
@@ -57,7 +61,7 @@ const ckptTrailerLen = 4 + 8 // crc u32 + trailer magic
 // metadata fields; column words are streamed through the storage
 // layer's serialization directly into it.
 type CheckpointWriter struct {
-	bw  *bufio.Writer
+	w   io.Writer
 	crc hash.Hash32
 	err error
 }
@@ -67,7 +71,7 @@ func (w *CheckpointWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	n, err := w.bw.Write(p)
+	n, err := w.w.Write(p)
 	w.crc.Write(p[:n])
 	w.err = err
 	return n, err
@@ -114,6 +118,28 @@ func (w *CheckpointWriter) FinishTable(dict []string) error {
 	return w.err
 }
 
+// EncodeCheckpoint writes one checkpoint body at ts to dst: the header,
+// the ntables table sections stream writes, then the CRC seal and the
+// trailer. It is the only checkpoint encoder — a checkpoint file and a
+// replica bootstrap carry the same bytes. dst should be buffered: the
+// metadata fields arrive a few bytes at a time.
+func EncodeCheckpoint(dst io.Writer, ts uint64, ntables int, stream func(w *CheckpointWriter) error) error {
+	w := &CheckpointWriter{w: dst, crc: crc32.NewIEEE()}
+	_, _ = w.Write(ckptMagic)
+	w.u64(ts)
+	w.u32(uint32(ntables))
+	if w.err != nil {
+		return w.err
+	}
+	if err := stream(w); err != nil {
+		return err
+	}
+	// Seal: CRC of everything written so far, then the trailer magic.
+	w.u32(w.crc.Sum32())
+	_, _ = w.Write(ckptTrailer)
+	return w.err
+}
+
 // WriteCheckpoint atomically writes a checkpoint at ts: stream is
 // called to write ntables table sections, then the file is CRC-sealed,
 // fsynced and renamed into place. On success older checkpoints are
@@ -136,26 +162,11 @@ func (l *Log) WriteCheckpoint(ts uint64, ntables int, stream func(w *CheckpointW
 		_ = l.fs.Remove(tmp)
 		return err
 	}
-	w := &CheckpointWriter{bw: bufio.NewWriterSize(f, 1<<16), crc: crc32.NewIEEE()}
-	_, _ = w.Write(ckptMagic)
-	w.u64(ts)
-	w.u32(uint32(ntables))
-	if w.err != nil {
-		return abort(w.err)
-	}
-	if err := stream(w); err != nil {
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err := EncodeCheckpoint(bw, ts, ntables, stream); err != nil {
 		return abort(err)
 	}
-	if w.err != nil {
-		return abort(w.err)
-	}
-	// Seal: CRC of everything written so far, then the trailer magic.
-	w.u32(w.crc.Sum32())
-	_, _ = w.Write(ckptTrailer)
-	if w.err != nil {
-		return abort(w.err)
-	}
-	if err := w.bw.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return abort(err)
 	}
 	if err := l.sync(f); err != nil {
@@ -185,32 +196,21 @@ func (l *Log) WriteCheckpoint(ts uint64, ntables int, stream func(w *CheckpointW
 	return l.TruncateBelow(ts)
 }
 
-// CheckpointReader streams a validated checkpoint body in O(buffer)
-// memory: reads pull through a bufio window, feed the incremental CRC,
-// and are bounded by the body length, so the trailer is never consumed
-// as data. It implements io.Reader for the raw column-word streams,
-// with helpers mirroring the writer's metadata fields. Integrity is
-// verified after the body has been consumed (LoadCheckpoint compares
-// the incremental CRC against the sealed one) — recovery applies data
-// before the verdict, which is safe because a mismatch fails the whole
-// Open and the partially filled state is discarded.
+// CheckpointReader streams a checkpoint body in O(buffer) memory:
+// reads pull through a bufio window and feed the incremental CRC. It
+// implements io.Reader for the raw column-word streams, with helpers
+// mirroring the writer's metadata fields.
 type CheckpointReader struct {
-	br        *bufio.Reader
-	crc       hash.Hash32
-	remaining int64 // body bytes not yet consumed (trailer excluded)
+	br  *bufio.Reader
+	crc hash.Hash32
+	off int64 // body bytes consumed
 }
 
 // Read implements io.Reader.
 func (r *CheckpointReader) Read(p []byte) (int, error) {
-	if r.remaining <= 0 {
-		return 0, fmt.Errorf("wal: checkpoint exhausted")
-	}
-	if int64(len(p)) > r.remaining {
-		p = p[:r.remaining]
-	}
 	n, err := r.br.Read(p)
 	r.crc.Write(p[:n])
-	r.remaining -= int64(n)
+	r.off += int64(n)
 	if err != nil && n > 0 {
 		err = nil // deliver the bytes; the next call reports the error
 	}
@@ -220,21 +220,16 @@ func (r *CheckpointReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// take consumes exactly n body bytes into a small scratch slice valid
-// until the next read.
+// take consumes exactly n (at most replayBufSize) body bytes into a
+// scratch slice valid until the next read.
 func (r *CheckpointReader) take(n int) ([]byte, error) {
-	if int64(n) > r.remaining {
-		return nil, fmt.Errorf("wal: checkpoint truncated")
-	}
 	b, err := r.br.Peek(n)
 	if err != nil {
 		return nil, fmt.Errorf("wal: checkpoint truncated: %w", err)
 	}
 	r.crc.Write(b)
-	if _, err := r.br.Discard(n); err != nil {
-		return nil, err
-	}
-	r.remaining -= int64(n)
+	_, _ = r.br.Discard(n) // cannot fail: Peek buffered all n bytes
+	r.off += int64(n)
 	return b, nil
 }
 
@@ -254,19 +249,25 @@ func (r *CheckpointReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
+// str reads a length-prefixed string. The string grows with the bytes
+// that actually arrive, window by window, so a hostile length fails at
+// the end of the stream instead of sizing an allocation.
 func (r *CheckpointReader) str() (string, error) {
 	n, err := r.u32()
 	if err != nil {
 		return "", err
 	}
-	if int64(n) > r.remaining {
-		return "", fmt.Errorf("wal: checkpoint truncated")
+	var sb strings.Builder
+	for rem := int64(n); rem > 0; {
+		k := min(rem, replayBufSize)
+		b, err := r.take(int(k))
+		if err != nil {
+			return "", err
+		}
+		sb.Write(b)
+		rem -= k
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return sb.String(), nil
 }
 
 // TableHeader reads the next table section header written by
@@ -295,17 +296,16 @@ func (r *CheckpointReader) TableHeader() (slot int, name string, rows, cols int,
 }
 
 // TableDict reads the table's trailing dictionary written by
-// FinishTable.
+// FinishTable. Like str, it grows only with strings actually received:
+// every string costs at least its 4-byte length, so a hostile count
+// fails at the end of the stream.
 func (r *CheckpointReader) TableDict() ([]string, error) {
-	d32, err := r.u32()
+	n, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	if int64(d32) > r.remaining {
-		return nil, fmt.Errorf("wal: checkpoint dictionary claims %d strings in %d bytes", d32, r.remaining)
-	}
 	var dict []string
-	for i := 0; i < int(d32); i++ {
+	for i := uint32(0); i < n; i++ {
 		s, err := r.str()
 		if err != nil {
 			return nil, err
@@ -315,14 +315,66 @@ func (r *CheckpointReader) TableDict() ([]string, error) {
 	return dict, nil
 }
 
-// LoadCheckpoint locates the newest checkpoint, validates its framing,
-// and streams its body to load in O(buffer) memory: the trailer magic
-// and sealed CRC are read from the file's tail first, then the body is
-// pulled chunk-wise through the reader while an incremental CRC runs
-// over it, and the sums are compared once the body is drained. ok is
-// false when the directory holds no checkpoint (a valid state: recovery
-// then replays the WAL from scratch). A present-but-corrupt checkpoint
-// is an error, not a fallback — the WAL below its timestamp is already
+// DecodeCheckpoint reads one checkpoint body from src in O(buffer)
+// memory: the header, then load for the ntables table sections, then
+// the seal — the running CRC must match the sealed sum, the trailer
+// magic must follow, and src must end right after it. It is the only
+// checkpoint decoder, for files and replica bootstrap streams alike.
+// load applies data before the verdict, which is safe because every
+// caller discards the partially filled state on error (recovery fails
+// Open; a replica drops the connection and bootstraps again). Every
+// defect is a *CorruptError naming name and the body offset where it
+// was found.
+func DecodeCheckpoint(name string, src io.Reader, load func(ts uint64, ntables int, r *CheckpointReader) error) (uint64, error) {
+	r := &CheckpointReader{br: bufio.NewReaderSize(src, replayBufSize), crc: crc32.NewIEEE()}
+	fail := func(format string, args ...any) (uint64, error) {
+		return 0, corruptCkpt(name, r.off, format, args...)
+	}
+	magic, err := r.take(len(ckptMagic))
+	if err != nil {
+		return fail("%v", err)
+	}
+	if string(magic) != string(ckptMagic) {
+		return fail("bad header")
+	}
+	ts, err := r.u64()
+	if err != nil {
+		return fail("%v", err)
+	}
+	n32, err := r.u32()
+	if err != nil {
+		return fail("%v", err)
+	}
+	if err := load(ts, int(n32), r); err != nil {
+		return fail("%v", err)
+	}
+	want := r.crc.Sum32()
+	got, err := r.u32()
+	if err != nil {
+		return fail("%v", err)
+	}
+	if got != want {
+		return fail("checksum mismatch")
+	}
+	if trailer, err := r.take(len(ckptTrailer)); err != nil || string(trailer) != string(ckptTrailer) {
+		return fail("missing trailer")
+	}
+	switch _, err := r.br.ReadByte(); {
+	case err == nil:
+		return fail("bytes after the trailer")
+	case err != io.EOF:
+		return fail("%v", err)
+	}
+	return ts, nil
+}
+
+// LoadCheckpoint locates the newest checkpoint and streams it through
+// DecodeCheckpoint in O(buffer) memory. The trailer magic is checked
+// at the file's tail first: a file without it was never completely
+// written and must not be streamed into the tables at all. ok is false
+// when the directory holds no checkpoint (a valid state: recovery then
+// replays the WAL from scratch). A present-but-corrupt checkpoint is
+// an error, not a fallback — the WAL below its timestamp is already
 // truncated, so silently ignoring it would lose data.
 func (l *Log) LoadCheckpoint(load func(ts uint64, ntables int, r *CheckpointReader) error) (ts uint64, ok bool, err error) {
 	ckpts, err := l.checkpoints()
@@ -343,47 +395,16 @@ func (l *Log) LoadCheckpoint(load func(ts uint64, ntables int, r *CheckpointRead
 	if fi.Size() < minLen {
 		return 0, false, corruptCkpt(newest.path, 0, "bad header (%d bytes, want at least %d)", fi.Size(), minLen)
 	}
-	// Seal first: a file without the trailer magic was never completely
-	// written and must not be streamed into the tables at all.
-	var tail [ckptTrailerLen]byte
-	if _, err := f.ReadAt(tail[:], fi.Size()-ckptTrailerLen); err != nil {
+	tail := make([]byte, len(ckptTrailer))
+	if _, err := f.ReadAt(tail, fi.Size()-int64(len(tail))); err != nil {
 		return 0, false, err
 	}
-	if string(tail[4:]) != string(ckptTrailer) {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen, "missing trailer")
-	}
-	wantCRC := binary.LittleEndian.Uint32(tail[:4])
-
-	r := &CheckpointReader{
-		br:        bufio.NewReaderSize(f, replayBufSize),
-		crc:       crc32.NewIEEE(),
-		remaining: fi.Size() - ckptTrailerLen,
+	if string(tail) != string(ckptTrailer) {
+		return 0, false, corruptCkpt(newest.path, fi.Size()-int64(len(tail)), "missing trailer")
 	}
 	l.notePeak(replayBufSize)
-	magic, err := r.take(len(ckptMagic))
-	if err != nil || string(magic) != string(ckptMagic) {
-		return 0, false, corruptCkpt(newest.path, 0, "bad header")
-	}
-	ts, err = r.u64()
-	if err != nil {
-		return 0, false, err
-	}
-	n32, err := r.u32()
-	if err != nil {
-		return 0, false, err
-	}
-	if err := load(ts, int(n32), r); err != nil {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen-r.remaining, "%v", err)
-	}
-	// Drain whatever the loader did not consume so the CRC covers the
-	// whole body, then compare against the sealed sum.
-	if _, err := io.Copy(io.Discard, r); err != nil && r.remaining > 0 {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen-r.remaining, "%v", err)
-	}
-	if r.crc.Sum32() != wantCRC {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen, "checksum mismatch")
-	}
-	return ts, true, nil
+	ts, err = DecodeCheckpoint(newest.path, f, load)
+	return ts, err == nil, err
 }
 
 func (l *Log) tmpCheckpointPath() string {

@@ -1,10 +1,8 @@
 package ankerdb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,8 +22,9 @@ import (
 // protocol in internal/repl. A replica applies the stream continuously
 // through the same idempotent-by-commitTS rules recovery uses, so
 // primary and replica state converge by construction: replication IS
-// recovery over the wire, with a consistent snapshot (the checkpoint
-// format's sibling) as the bootstrap instead of a checkpoint file.
+// recovery over the wire, with a checkpoint streamed over the
+// connection as the bootstrap instead of a checkpoint file: the same
+// encoder, decoder and derived-state rebuild recovery uses.
 //
 // Ordering. The publisher (internal/repl) releases records in WAL
 // append order, commits gated behind the completion watermark, and
@@ -154,12 +153,13 @@ func (db *DB) maxReplicaLag() uint64 {
 	return max
 }
 
-// streamBootstrap ships a consistent snapshot to a freshly attached
-// replica: the full schema log raw (so the replica reproduces the
-// exact table-slot assignment the commit records address), then every
-// live table's state at one snapshot generation timestamp. The caller
+// streamBootstrap ships a freshly attached replica the full schema log
+// raw (so the replica reproduces the exact table-slot assignment the
+// commit records address), then a checkpoint of every live table,
+// streamed in MsgCheckpoint chunks: the same body Checkpoint writes to
+// a file, in O(chunk) memory however large the tables are. The caller
 // attached the replica's subscriber BEFORE calling — records released
-// during the capture are duplicated into the snapshot, which the
+// during the capture are duplicated into the checkpoint, which the
 // replay-by-timestamp rules make harmless; the reverse order would
 // lose them.
 func (db *DB) streamBootstrap(c *repl.Conn) error {
@@ -168,215 +168,15 @@ func (db *DB) streamBootstrap(c *repl.Conn) error {
 	}); err != nil {
 		return err
 	}
-	// Read side of the re-bootstrap gate: on a replica serving as a
-	// chained primary, the snapshot capture must not span the replica's
-	// own in-place re-bootstrap.
-	db.olapGate.RLock()
-	defer db.olapGate.RUnlock()
-	g := db.snaps.acquireFresh()
-	defer db.snaps.release(g)
-	db.mu.RLock()
-	tabs := make([]*table, 0, len(db.tabList))
-	for _, t := range db.tabList {
-		if !t.dropped.Load() {
-			tabs = append(tabs, t)
-		}
-	}
-	db.mu.RUnlock()
-	if err := c.WriteMessage(repl.MsgSnapBegin, repl.SnapBegin{TS: g.ts, Tables: len(tabs)}); err != nil {
-		return err
-	}
-	for _, t := range tabs {
-		body, err := encodeSnapTable(g, t)
-		if err != nil {
-			return err
-		}
-		if err := c.WriteMsg(repl.MsgSnapTable, body); err != nil {
-			return err
-		}
-	}
-	if err := c.WriteMessage(repl.MsgSnapEnd, repl.SnapEnd{TS: g.ts}); err != nil {
-		return err
-	}
-	return c.Flush()
-}
-
-// encodeSnapTable serialises one table's snapshot body: slot, name,
-// row count, column count, then per column the data and
-// write-timestamp words, then the birth and death arrays, then the
-// dictionary — the checkpoint section layout flattened into one frame.
-// Capture-before-write and the min-captured-rows rule mirror
-// Checkpoint: rows born above the captured capacity carry commit
-// timestamps past the snapshot's and replay from the live stream.
-func encodeSnapTable(g *generation, t *table) ([]byte, error) {
-	snaps := make([]*colSnap, len(t.cols))
-	for i, c := range t.cols {
-		cs, err := g.colSnap(c)
-		if err != nil {
-			return nil, err
-		}
-		snaps[i] = cs
-	}
-	vs, err := g.visSnap(t)
-	if err != nil {
-		return nil, err
-	}
-	rows := vs.rows()
-	for _, cs := range snaps {
-		if cs.rows() < rows {
-			rows = cs.rows()
-		}
-	}
-	name := t.st.Schema().Table
-	var buf bytes.Buffer
-	var hdr [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(hdr[:], v)
-		buf.Write(hdr[:])
-	}
-	wu64(uint64(t.idx))
-	wu64(uint64(len(name)))
-	buf.WriteString(name)
-	wu64(uint64(rows))
-	wu64(uint64(len(t.cols)))
-	for _, cs := range snaps {
-		if err := storage.WriteWords(&buf, rows, cs.data.GetU); err != nil {
-			return nil, err
-		}
-		if err := storage.WriteWords(&buf, rows, cs.wts.GetU); err != nil {
-			return nil, err
-		}
-	}
-	if err := storage.WriteWords(&buf, rows, vs.data.GetU); err != nil {
-		return nil, err
-	}
-	if err := storage.WriteWords(&buf, rows, vs.wts.GetU); err != nil {
-		return nil, err
-	}
-	// Dictionary last, after every capture: append-only, so it covers
-	// every code the captured words can hold.
-	strs := t.st.Dict().Strings()
-	wu64(uint64(len(strs)))
-	for _, s := range strs {
-		wu64(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	return buf.Bytes(), nil
-}
-
-// applySnapTable loads one snapshot table body into the replica's
-// recreated (or recovered) table, slot-addressed and validated against
-// the schema exactly like checkpoint sections. Fast-forward semantics:
-// the snapshot is the primary's state at its timestamp, which is at or
-// above anything the replica holds, so overwriting in place is always
-// a step forward. noteTS folds every loaded stamp into the oracle
-// seed.
-func (db *DB) applySnapTable(body []byte, noteTS func(uint64)) error {
-	r := bytes.NewReader(body)
-	var hdr [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(hdr[:]), nil
-	}
-	slot64, err := ru64()
-	if err != nil {
-		return err
-	}
-	nameLen, err := ru64()
-	if err != nil {
-		return err
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return err
-	}
-	rows64, err := ru64()
-	if err != nil {
-		return err
-	}
-	cols64, err := ru64()
-	if err != nil {
-		return err
-	}
-	slot, rows, cols := int(slot64), int(rows64), int(cols64)
-	name := string(nameBuf)
-	db.mu.RLock()
-	nTabs := len(db.tabList)
-	db.mu.RUnlock()
-	if slot < 0 || slot >= nTabs {
-		return fmt.Errorf("ankerdb: snapshot table %q claims slot %d of %d", name, slot, nTabs)
-	}
-	t := db.tableByIdx(slot)
-	if got := t.st.Schema().Table; got != name {
-		return fmt.Errorf("ankerdb: snapshot table %q at slot %d, schema says %q", name, slot, got)
-	}
-	if len(t.cols) != cols {
-		return fmt.Errorf("ankerdb: snapshot table %q has %d columns, schema says %d", name, cols, len(t.cols))
-	}
-	if rows < 0 || rows > maxRecoveredRow {
-		return fmt.Errorf("ankerdb: snapshot table %q claims %d rows", name, rows)
-	}
-	if rows > 0 {
-		if err := db.growRecovered(t, rows-1); err != nil {
-			return err
-		}
-	}
-	// Exclude snapshot captures while the arrays are overwritten: a
-	// replica generation pinned mid-fill would capture a torn mix.
-	db.lockAllShards()
-	defer db.unlockAllShards()
-	for _, c := range t.cols {
-		if err := storage.ReadWordsRegion(r, rows, c.data.FillWindow); err != nil {
-			return err
-		}
-		if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-			for _, v := range words {
-				noteTS(v)
-			}
-			c.wts.FillWindow(start, words)
-		}); err != nil {
-			return err
-		}
-	}
-	birth, death := t.st.Birth(), t.st.Death()
-	if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-		for _, v := range words {
-			if v != storage.NeverTS {
-				noteTS(v)
-			}
-			birth.FillWindow(start, words)
-		}
+	g, tabs, release := db.pinCheckpoint()
+	defer release()
+	w := repl.NewChunkWriter(c)
+	if err := wal.EncodeCheckpoint(w, g.ts, len(tabs), func(cw *wal.CheckpointWriter) error {
+		return writeTableSections(g, tabs, cw)
 	}); err != nil {
 		return err
 	}
-	if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-		for _, v := range words {
-			noteTS(v)
-		}
-		death.FillWindow(start, words)
-	}); err != nil {
-		return err
-	}
-	nStrs, err := ru64()
-	if err != nil {
-		return err
-	}
-	dict := make([]string, nStrs)
-	for i := range dict {
-		sl, err := ru64()
-		if err != nil {
-			return err
-		}
-		sb := make([]byte, sl)
-		if _, err := io.ReadFull(r, sb); err != nil {
-			return err
-		}
-		dict[i] = string(sb)
-	}
-	t.st.Dict().Load(dict)
-	return nil
+	return w.Close()
 }
 
 // replicaState is a replica's connector: the background goroutine that
@@ -492,104 +292,32 @@ func (r *replicaState) dial(afterTS uint64) (*repl.Conn, repl.Welcome, error) {
 	}
 }
 
-// runBootstrap consumes a snapshot bootstrap (schema frames, SnapBegin,
-// table bodies, SnapEnd) and finishes it: rebuild the row allocators,
-// zone maps and secondary indexes from the loaded arrays, and observe
-// the snapshot timestamp. The caller holds db.olapGate write-side (the
-// rebuild fast-forwards arrays in place under pinned OLAP readers
+// runBootstrap consumes a bootstrap — schema frames, then the
+// checkpoint body — through the decoder and section loader recovery
+// uses, rebuilds the derived state recovery rebuilds, and publishes the
+// checkpoint timestamp. The caller holds db.olapGate write-side (the
+// load fast-forwards arrays in place under pinned OLAP readers
 // otherwise) and, on a durable replica, checkpoints AFTER the gate is
-// released — the snapshot's data is not in the replica's own WAL, and
+// released — the bootstrap's data is not in the replica's own WAL, and
 // Checkpoint itself pins a generation under the gate's read side.
 // Frame reads are individually deadlined so a primary that accepts and
 // stalls fails the bootstrap instead of hanging the caller.
 func (r *replicaState) runBootstrap(c *repl.Conn) error {
 	db := r.db
-	var maxWTS uint64
-	noteTS := func(v uint64) {
-		if v > maxWTS {
-			maxWTS = v
-		}
+	var maxStamp uint64
+	body := repl.NewChunkReader(c, bootstrapFrameTimeout, r.applySchema)
+	ts, err := wal.DecodeCheckpoint("bootstrap from "+r.addr, body, func(_ uint64, ntables int, cr *wal.CheckpointReader) (err error) {
+		maxStamp, err = db.loadTableSections(ntables, cr)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	tables := -1
-	var snapTS uint64
-	for {
-		_ = c.SetReadDeadline(time.Now().Add(bootstrapFrameTimeout))
-		typ, payload, err := c.ReadMsg()
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case repl.MsgSchema:
-			if err := r.applySchema(payload); err != nil {
-				return err
-			}
-		case repl.MsgSnapBegin:
-			var sb repl.SnapBegin
-			if err := sb.Decode(payload); err != nil {
-				return err
-			}
-			snapTS, tables = sb.TS, sb.Tables
-		case repl.MsgSnapTable:
-			if tables <= 0 {
-				return fmt.Errorf("ankerdb: snapshot table outside SnapBegin/SnapEnd")
-			}
-			if err := db.applySnapTable(payload, noteTS); err != nil {
-				return err
-			}
-			tables--
-		case repl.MsgSnapEnd:
-			if tables != 0 {
-				return fmt.Errorf("ankerdb: snapshot ended with %d tables missing", tables)
-			}
-			seed := snapTS
-			if maxWTS > seed {
-				seed = maxWTS
-			}
-			db.finishBootstrap(seed)
-			if seed > r.applied.Load() {
-				r.applied.Store(seed)
-			}
-			r.bootstraps.Add(1)
-			db.tel.rec.Record(telemetry.EvReplBootstrap, int64(snapTS), int64(seed), 0)
-			// The live stream blocks on reads indefinitely by design:
-			// clear the per-frame bootstrap deadline before handing the
-			// connection over.
-			_ = c.SetReadDeadline(time.Time{})
-			return nil
-		case repl.MsgErr:
-			var we repl.WireErr
-			_ = we.Decode(payload)
-			return fmt.Errorf("ankerdb: primary aborted bootstrap: %s", we.Msg)
-		default:
-			return fmt.Errorf("ankerdb: unexpected frame type %d during bootstrap", typ)
-		}
-	}
-}
-
-// finishBootstrap rebuilds the derived state recovery would rebuild —
-// row allocators, visibility-log bases, zone maps, index contents —
-// over the freshly loaded arrays, then publishes the snapshot
-// timestamp to the replica's oracle.
-func (db *DB) finishBootstrap(seed uint64) {
-	db.lockAllShards()
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	db.rebuildRowStateTabs(tabs)
-	db.unlockAllShards()
-	db.recomputeZones(0)
-	db.lockAllShards()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		for _, c := range t.cols {
-			if old := c.idx.Load(); old != nil {
-				c.idx.Store(buildColumnIndex(c, old.Kind(), 0))
-			}
-		}
-	}
-	db.unlockAllShards()
+	// The live stream blocks on reads indefinitely by design: clear the
+	// per-frame bootstrap deadline before handing the connection over.
+	_ = c.SetReadDeadline(time.Time{})
+	db.rebuildDerivedState()
+	seed := max(ts, maxStamp)
 	db.oracle.ObserveCommitted(seed)
 	// Retire the current snapshot generation: across a re-bootstrap the
 	// manager's own pin keeps it alive with its pre-bootstrap timestamp
@@ -598,6 +326,12 @@ func (db *DB) finishBootstrap(seed uint64) {
 	// version-chain entries to repair from. Forcing staleness makes the
 	// next acquire rotate to a generation born after the rebuild.
 	db.snaps.stale.Store(true)
+	if seed > r.applied.Load() {
+		r.applied.Store(seed)
+	}
+	r.bootstraps.Add(1)
+	db.tel.rec.Record(telemetry.EvReplBootstrap, int64(ts), int64(seed), 0)
+	return nil
 }
 
 // applySchema applies one sequence-stamped schema frame: skip if the
@@ -729,56 +463,19 @@ func (db *DB) applyTableDDL(rec wal.TableDDLRecord) {
 // whether anything applied (a fully skipped duplicate is not
 // re-appended to the replica's own WAL).
 func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
-	db.mu.RLock()
-	nTabs := len(db.tabList)
-	cols := make([]*column, len(rec.Writes))
-	for i, w := range rec.Writes {
-		if w.Table < 0 || w.Table >= nTabs {
-			db.mu.RUnlock()
-			return false, nil // beyond the applied schema prefix: skip whole
-		}
-		t := db.tabList[w.Table]
-		if w.Col < 0 || w.Col >= len(t.cols) || w.Row < 0 || w.Row >= maxRecoveredRow {
-			db.mu.RUnlock()
-			return false, nil
-		}
-		cols[i] = t.cols[w.Col]
-	}
-	type opTab struct {
-		t  *table
-		op wal.RowOp
-	}
-	ops := make([]opTab, len(rec.Ops))
-	for i, op := range rec.Ops {
-		if op.Table < 0 || op.Table >= nTabs || op.Row < 0 || op.Row >= maxRecoveredRow {
-			db.mu.RUnlock()
-			return false, nil
-		}
-		ops[i] = opTab{t: db.tabList[op.Table], op: op}
-	}
-	db.mu.RUnlock()
-
-	// Grow before taking shard locks (growth takes only the allocator
-	// mutex and the storage layer's own locks).
-	for i, w := range rec.Writes {
-		if err := db.growRecovered(cols[i].tab, w.Row); err != nil {
-			return false, err
-		}
-	}
-	for _, o := range ops {
-		if err := db.growRecovered(o.t, o.op.Row); err != nil {
-			return false, err
-		}
+	cols, tabs, ok, err := db.resolveCommit(rec, nil, nil)
+	if !ok {
+		return false, err // beyond the applied schema prefix: skip whole
 	}
 
 	// The involved shard locks, ascending — the same exclusion the
 	// primary's installer holds against snapshot capture.
 	marks := make([]bool, len(db.shards))
-	for i := range rec.Writes {
-		marks[db.shardOf(cols[i].id)] = true
+	for _, c := range cols {
+		marks[db.shardOf(c.id)] = true
 	}
-	for _, o := range ops {
-		marks[db.shardOf(mvcc.VisColumnID(o.op.Table))] = true
+	for _, op := range rec.Ops {
+		marks[db.shardOf(mvcc.VisColumnID(op.Table))] = true
 	}
 	var locked []int
 	for id, m := range marks {
@@ -797,8 +494,8 @@ func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
 	// exactly like install(): the displaced word belongs to a reclaimed
 	// or never-born incarnation no reader can reach.
 	inserted := func(tab, row int) bool {
-		for _, o := range ops {
-			if !o.op.Del && o.op.Table == tab && o.op.Row == row {
+		for _, op := range rec.Ops {
+			if !op.Del && op.Table == tab && op.Row == row {
 				return true
 			}
 		}
@@ -843,8 +540,8 @@ func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
 		t *table
 		d int64
 	}
-	for _, o := range ops {
-		t, op := o.t, o.op
+	for i, op := range rec.Ops {
+		t := tabs[i]
 		birth, death := t.st.Birth(), t.st.Death()
 		floor := death.GetU(op.Row)
 		if b := birth.GetU(op.Row); b != storage.NeverTS && b > floor {
@@ -905,23 +602,8 @@ func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
 // column's shard lock, zones widened (never replaced — live readers)
 // and the column's index rebuilt like the primary's post-load reindex.
 func (db *DB) applyLoad(rec wal.LoadRecord) bool {
-	db.mu.RLock()
-	var c *column
-	if rec.Table >= 0 && rec.Table < len(db.tabList) {
-		t := db.tabList[rec.Table]
-		if rec.Col >= 0 && rec.Col < len(t.cols) {
-			c = t.cols[rec.Col]
-		}
-	}
-	db.mu.RUnlock()
-	if c == nil {
-		return false
-	}
-	n := len(rec.Vals)
-	if rec.HasStrs {
-		n = len(rec.Strs)
-	}
-	if rec.Start < 0 || n > c.data.Rows()-rec.Start || rec.HasStrs != (c.def.Type == Varchar) {
+	c, ok := db.recoveredLoadColumn(rec)
+	if !ok {
 		return false
 	}
 	s := db.shards[db.shardOf(c.id)]
@@ -947,51 +629,6 @@ func (db *DB) applyLoad(rec wal.LoadRecord) bool {
 		db.reindexColumn(c)
 	}
 	return true
-}
-
-// rebuildRowStateTabs is rebuildRowState over an explicit table list —
-// the bootstrap path's variant (recovery's walks db.tabList directly,
-// which is safe only single-threaded).
-func (db *DB) rebuildRowStateTabs(tabs []*table) {
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		var live int64
-		mutated := t.truncated
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-				if d == 0 {
-					live++
-				}
-				if b != 0 || d != 0 {
-					mutated = true
-				}
-			case d != 0:
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-				mutated = true
-			}
-		}
-		t.amu.Lock()
-		t.next, t.free = next, free
-		t.amu.Unlock()
-		if next > t.st.InitialRows() {
-			mutated = true
-		}
-		t.visMutated.Store(mutated)
-		t.visLogReset(live - int64(t.st.InitialRows()))
-	}
 }
 
 // run is the connector's stream-and-reconnect loop: apply frames until
@@ -1029,7 +666,7 @@ func (r *replicaState) run(c *repl.Conn) {
 			r.reconnects.Add(1)
 			if welcome.Snapshot {
 				// History no longer reaches back: re-bootstrap in place
-				// (fast-forward; see applySnapTable). Write side of the
+				// (fast-forward; see loadTableSections). Write side of the
 				// OLAP gate: the rebuild overwrites arrays without pushing
 				// displaced values into version chains and resets the
 				// visibility logs, so every pinned generation must drain
@@ -1162,46 +799,15 @@ func (db *DB) Promote(requireTS uint64) error {
 		seed = c
 	}
 	db.oracle.Seed(seed)
-	db.promoteRowState()
+	// Allocators only: the visibility logs stay — pinned OLAP readers
+	// still depend on them.
+	for _, t := range db.liveTables() {
+		t.rebuildAllocator()
+	}
 	db.unlockAllShards()
 	db.promoted.Store(true)
 	db.tel.rec.Record(telemetry.EvReplPromote, int64(seed), int64(requireTS), 0)
 	return nil
-}
-
-// promoteRowState recomputes every table's row allocator from the
-// applied visibility arrays — rebuildRowState minus the visibility-log
-// reset, which pinned OLAP readers still depend on. The caller holds
-// every shard commit lock.
-func (db *DB) promoteRowState() {
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-			case d != 0:
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-			}
-		}
-		t.amu.Lock()
-		t.next, t.free = next, free
-		t.amu.Unlock()
-	}
 }
 
 // replicaWriteGuard rejects local mutation on an unpromoted replica.

@@ -160,30 +160,33 @@ func FuzzDecodeWireResp(f *testing.F) {
 }
 
 // TestHelloVersionMismatch: a hello stamped with another protocol
-// version is refused with MsgErr at the handshake.
+// version — the previous one included — is refused with MsgErr at the
+// handshake.
 func TestHelloVersionMismatch(t *testing.T) {
 	p := openPrimary(t)
-	nc, err := net.Dial("tcp", p.ServeAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := repl.NewConn(nc)
-	defer c.Close()
-	hello := repl.Hello{Role: repl.RoleSession}.AppendTo(nil)
-	hello[0] = repl.ProtoVersion + 1
-	if err := c.WriteMsg(repl.MsgHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := c.ReadMsg()
-	if err != nil || typ != repl.MsgErr {
-		t.Fatalf("reply to foreign-version hello: type %d, err %v", typ, err)
-	}
-	var we repl.WireErr
-	if err := we.Decode(payload); err != nil || !strings.Contains(we.Msg, "version") {
-		t.Fatalf("refusal = %+v, %v", we, err)
+	for _, version := range []uint8{repl.ProtoVersion - 1, repl.ProtoVersion + 1} {
+		nc, err := net.Dial("tcp", p.ServeAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := repl.NewConn(nc)
+		defer c.Close()
+		hello := repl.Hello{Role: repl.RoleReplica}.AppendTo(nil)
+		hello[0] = version
+		if err := c.WriteMsg(repl.MsgHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := c.ReadMsg()
+		if err != nil || typ != repl.MsgErr {
+			t.Fatalf("reply to version-%d hello: type %d, err %v", version, typ, err)
+		}
+		var we repl.WireErr
+		if err := we.Decode(payload); err != nil || !strings.Contains(we.Msg, "version") {
+			t.Fatalf("version-%d refusal = %+v, %v", version, we, err)
+		}
 	}
 }
 
