@@ -96,6 +96,11 @@ func (db *DB) txnShards(t *mvcc.TxnState) []int {
 	}
 	marks := make([]bool, len(db.shards))
 	t.EachColumn(func(id mvcc.ColumnID) { marks[db.shardOf(id)] = true })
+	return markedShards(marks)
+}
+
+// markedShards returns the ids of the marked shards, ascending.
+func markedShards(marks []bool) []int {
 	ids := make([]int, 0, 2)
 	for i, m := range marks {
 		if m {
@@ -103,6 +108,39 @@ func (db *DB) txnShards(t *mvcc.TxnState) []int {
 		}
 	}
 	return ids
+}
+
+// lockShards takes the commit locks of shards ids in ascending order —
+// deadlock-free by global ordering — and returns the locked shards.
+func (db *DB) lockShards(ids []int) []*commitShard {
+	shards := make([]*commitShard, len(ids))
+	for i, id := range ids {
+		shards[i] = db.shards[id]
+		shards[i].mu.Lock()
+	}
+	return shards
+}
+
+// unlockShards releases lockShards' locks in reverse order.
+func unlockShards(shards []*commitShard) {
+	for i := len(shards) - 1; i >= 0; i-- {
+		shards[i].mu.Unlock()
+	}
+}
+
+// logCommit appends one commit record spanning shards ids (ascending)
+// to the WAL, once: to the owning (visibility pseudo-column) shard of
+// the first mutated table when the record births or kills rows —
+// keeping a table's row ops in one timestamp-ordered segment series —
+// and to the lowest involved shard otherwise. Replay merges shard logs
+// idempotently (writes by timestamp, row ops buffered and sorted per
+// row), so which segment carries the record never changes the outcome.
+func (db *DB) logCommit(ids []int, rec wal.CommitRecord) error {
+	shard := ids[0]
+	if len(rec.Ops) > 0 {
+		shard = db.shardOf(mvcc.VisColumnID(rec.Ops[0].Table))
+	}
+	return db.wal.AppendCommits(shard, []wal.CommitRecord{rec})
 }
 
 // commit runs the commit phase for t's staged writes: precision-locking
@@ -298,20 +336,11 @@ func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 // (deadlock-free by global ordering), the transaction validates against
 // each shard's recent commits, and its record is split per shard.
 func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch) error {
-	shards := make([]*commitShard, len(ids))
 	tr := db.tel.rec
 	wait := tr.Now()
-	for i, id := range ids {
-		shards[i] = db.shards[id]
-		shards[i].mu.Lock()
-	}
+	shards := db.lockShards(ids)
 	mark := tr.Now()
 	db.tel.commitLockWait.Observe(mark - wait)
-	unlock := func() {
-		for i := len(shards) - 1; i >= 0; i-- {
-			shards[i].mu.Unlock()
-		}
-	}
 
 	db.st.commitBatches.Add(1)
 	db.st.groupSizes[groupSizeBucket(1)].Add(1)
@@ -323,7 +352,7 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 		now := tr.Now()
 		db.tel.commitValidate.Observe(now - mark)
 		tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortConflict, int64(t.Begin), now)
-		unlock()
+		unlockShards(shards)
 		return err
 	}
 	for _, s := range shards {
@@ -332,7 +361,7 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 			now := tr.Now()
 			db.tel.commitValidate.Observe(now - mark)
 			tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortConflict, int64(t.Begin), now)
-			unlock()
+			unlockShards(shards)
 			return fmt.Errorf("%w: read set invalidated by commit %d", ErrConflict, conflictTS)
 		}
 	}
@@ -360,20 +389,9 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 	now = tr.Now()
 	db.tel.commitInstall.Observe(now - mark)
 	mark = now
-	// The whole cross-shard record is logged once: to the owning
-	// (visibility pseudo-column) shard of the first mutated table when
-	// the transaction birthed or killed rows — keeping a table's row
-	// ops in one timestamp-ordered segment series — and to the lowest
-	// involved shard otherwise. Replay merges shard logs idempotently
-	// (writes by timestamp, row ops buffered and sorted per row), so
-	// which segment carries the record never changes the outcome.
 	var walErr error
 	if db.wal != nil {
-		logShard := ids[0]
-		if len(rec.Ops) > 0 {
-			logShard = db.shardOf(mvcc.VisColumnID(rec.Ops[0].Table))
-		}
-		walErr = db.wal.AppendCommits(logShard, []wal.CommitRecord{db.redoRecord(rec)})
+		walErr = db.logCommit(ids, db.redoRecord(rec))
 		now = tr.Now()
 		db.tel.commitFsync.Observe(now - mark)
 		db.kickAutoCkpt()
@@ -385,7 +403,7 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 	}
 	db.oracle.Complete(ts)
 	db.maintainShards(shards, 1)
-	unlock()
+	unlockShards(shards)
 	// See commitGrouped: visibility before Commit returns.
 	db.oracle.WaitCompleted(ts)
 	return walErr
@@ -394,114 +412,100 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 // install materialises t's staged writes and row ops at commit
 // timestamp ts and returns the commit record. The caller holds the
 // commit locks of every shard the writes and row ops are routed to
-// (including each mutated table's visibility pseudo-column shard). The
-// write timestamp is stored strictly before the data word, the
-// ordering the lock-free read protocol and snapshot repair depend on.
-//
-// Writes into rows the transaction itself inserts skip the version
-// chain push: the displaced word is garbage from the slot's previous
-// (reclaimed, below the GC floor) or never-born incarnation, which no
-// reader can reach — every reader old enough to want it already sees
-// the row as dead or unborn through the visibility arrays. Row ops run
-// after all writes, death reset before birth, birth last: a concurrent
-// lock-free reader that observes the birth timestamp therefore
-// observes the fully materialised row, and one that doesn't skips the
-// row entirely.
+// (including each mutated table's visibility pseudo-column shard).
+// A replica's applyCommit runs the same steps — installWrite per
+// write, installRowOp per row op, one rowDeltas publish — over a
+// streamed record, in the same order: all writes, then the row ops.
 func (db *DB) install(t *mvcc.TxnState, ts uint64) mvcc.CommitRecord {
 	writes := make([]mvcc.WriteEntry, 0, t.NumWrites())
 	t.EachWrite(func(id mvcc.ColumnID, row int, val int64) {
-		c := db.columnByID(id)
-		if t.RowInserted(id.Table, row) {
-			c.wts.SetU(row, ts)
-			c.data.Set(row, val)
-			c.widen(row, val)
-			// Index maintenance rides the same critical section as the
-			// write install: an inserted row births one entry per indexed
-			// column (Insert stages a write on every column).
-			if ix := c.idx.Load(); ix != nil {
-				ix.Add(val, row, ts)
-			}
-			writes = append(writes, mvcc.WriteEntry{Col: id, Row: row, Old: val, New: val})
-			return
-		}
-		old := c.data.Get(row)
-		oldWTS := c.wts.GetU(row)
-		c.chain.Push(row, old, oldWTS)
-		c.noteVersioned(row)
-		c.wts.SetU(row, ts)
-		c.data.Set(row, val)
-		c.widen(row, val)
-		// A value change death-stamps the displaced association and
-		// births the new one at the same timestamp, mirroring the version
-		// chain push; a same-value overwrite leaves the live entry alone.
-		if ix := c.idx.Load(); ix != nil && old != val {
-			ix.Kill(old, row, ts)
-			ix.Add(val, row, ts)
-		}
+		old := db.columnByID(id).installWrite(row, val, ts, t.RowInserted(id.Table, row))
 		writes = append(writes, mvcc.WriteEntry{Col: id, Row: row, Old: old, New: val})
 	})
 	rec := mvcc.CommitRecord{TS: ts, Writes: writes}
-	// Per-table insert-minus-delete deltas, appended to the visibility
-	// logs below. A transaction touches very few tables, so a slice with
-	// linear search beats a map.
-	var visDeltas []struct {
-		t *table
-		d int64
-	}
+	var deltas rowDeltas
 	t.EachRowOp(func(op mvcc.RowOp) {
 		tab := db.tableByIdx(op.Table)
-		tab.visMutated.Store(true)
 		if op.Del {
 			// Shadow every column of the dying row with its last value:
 			// a concurrent reader whose predicate or point read covered
-			// the row read state this deletion invalidates. Indexed
-			// columns also death-stamp the row's live entry here, at the
-			// same timestamp the visibility array records.
+			// the row read state this deletion invalidates.
 			for _, c := range tab.cols {
 				old := c.data.Get(op.Row)
-				if ix := c.idx.Load(); ix != nil {
-					ix.Kill(old, op.Row, ts)
-				}
 				rec.VisWrites = append(rec.VisWrites,
 					mvcc.WriteEntry{Col: c.id, Row: op.Row, Old: old, New: old})
 			}
-			tab.st.Death().SetU(op.Row, ts)
-			db.st.rowDeletes.Add(1)
-		} else {
-			tab.st.Death().SetU(op.Row, 0)
-			tab.st.Birth().SetU(op.Row, ts)
-			db.st.rowInserts.Add(1)
 		}
 		rec.VisWrites = append(rec.VisWrites,
 			mvcc.WriteEntry{Col: mvcc.VisColumnID(op.Table), Row: op.Row})
 		rec.Ops = append(rec.Ops, op)
-		d := int64(1)
-		if op.Del {
-			d = -1
+		db.installRowOp(tab, op.Row, op.Del, ts)
+		deltas.add(tab, op.Del)
+	})
+	deltas.publish(ts)
+	return rec
+}
+
+// installWrite materialises one write of val into row at commit
+// timestamp ts and returns the value it displaced. The write timestamp
+// is stored strictly before the data word, the ordering the lock-free
+// read protocol and snapshot repair depend on.
+//
+// A write into a row the same commit inserts skips the version chain
+// push: the displaced word is garbage from the slot's previous
+// (reclaimed, below the GC floor) or never-born incarnation, which no
+// reader can reach — every reader old enough to want it already sees
+// the row as dead or unborn through the visibility arrays. Index
+// maintenance rides the same critical section: an inserted row births
+// one entry (Insert stages a write on every column); a value change
+// death-stamps the displaced association and births the new one at the
+// same timestamp, mirroring the chain push, while a same-value
+// overwrite leaves the live entry alone.
+func (c *column) installWrite(row int, val int64, ts uint64, inserted bool) int64 {
+	if inserted {
+		c.wts.SetU(row, ts)
+		c.data.Set(row, val)
+		c.widen(row, val)
+		if ix := c.idx.Load(); ix != nil {
+			ix.Add(val, row, ts)
 		}
-		for i := range visDeltas {
-			if visDeltas[i].t == tab {
-				visDeltas[i].d += d
-				d = 0
-				break
+		return val
+	}
+	old := c.data.Get(row)
+	c.chain.Push(row, old, c.wts.GetU(row))
+	c.noteVersioned(row)
+	c.wts.SetU(row, ts)
+	c.data.Set(row, val)
+	c.widen(row, val)
+	if ix := c.idx.Load(); ix != nil && old != val {
+		ix.Kill(old, row, ts)
+		ix.Add(val, row, ts)
+	}
+	return old
+}
+
+// installRowOp births or kills row of t at commit timestamp ts, after
+// every write of the commit is installed. A kill death-stamps each
+// indexed column's live entry at the timestamp the visibility array
+// records; a birth resets the death stamp before it stores the birth.
+// A concurrent lock-free reader that observes the birth timestamp
+// therefore observes the fully materialised row, and one that doesn't
+// skips the row entirely.
+func (db *DB) installRowOp(t *table, row int, del bool, ts uint64) {
+	t.visMutated.Store(true)
+	if del {
+		for _, c := range t.cols {
+			if ix := c.idx.Load(); ix != nil {
+				ix.Kill(c.data.Get(row), row, ts)
 			}
 		}
-		if d != 0 {
-			visDeltas = append(visDeltas, struct {
-				t *table
-				d int64
-			}{tab, d})
-		}
-	})
-	// One visibility-log entry per mutated table, under that table's
-	// visibility shard lock (held by the caller) and before the commit
-	// timestamp completes — so any reader that can see ts sees it.
-	for _, e := range visDeltas {
-		if e.d != 0 { // insert+delete in one txn nets out
-			e.t.visLogAppend(ts, e.d)
-		}
+		t.st.Death().SetU(row, ts)
+		db.st.rowDeletes.Add(1)
+		return
 	}
-	return rec
+	t.st.Death().SetU(row, 0)
+	t.st.Birth().SetU(row, ts)
+	db.st.rowInserts.Add(1)
 }
 
 // maintainShards counts the batch's committed transactions and runs
@@ -561,11 +565,7 @@ func (db *DB) lockAllShards() {
 	}
 }
 
-func (db *DB) unlockAllShards() {
-	for i := len(db.shards) - 1; i >= 0; i-- {
-		db.shards[i].mu.Unlock()
-	}
-}
+func (db *DB) unlockAllShards() { unlockShards(db.shards) }
 
 // validate runs precision-locking validation of t against s's recent
 // commits. Transactions with an empty read set skip the walk: blind

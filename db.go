@@ -189,11 +189,11 @@ type table struct {
 	dropTS   uint64
 	freed    bool
 
-	// truncated is set by recovery when it replays a truncate marker:
-	// the killed rows (birth back to NeverTS) are indistinguishable
-	// from never-born ones, so rebuildAllocator must be told not to
-	// infer the unmutated initial-rows fast path — which would
-	// resurrect exactly the rows the truncation discarded.
+	// truncated is set by every truncate (tableBarrier): the killed
+	// rows (birth back to NeverTS) are indistinguishable from never-born
+	// ones, so rebuildAllocator must be told not to infer the unmutated
+	// initial-rows fast path — which would resurrect exactly the rows
+	// the truncation discarded.
 	truncated bool
 }
 
@@ -462,7 +462,7 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	db.tel.rec = telemetry.NewRecorder(traceRingSize)
 	db.tel.slowThresh = cfg.slowQueryThreshold
-	db.snaps = newSnapManager(db, cfg.refreshEvery, cfg.maxAge)
+	db.snaps = newSnapManager(db, cfg.refreshEvery)
 	db.oracle.SetCompleteHook(db.onComplete)
 	if cfg.durDir != "" {
 		wlog, err := wal.OpenFS(cfg.durDir, len(db.shards), cfg.syncPolicy, cfg.fs)
@@ -820,7 +820,7 @@ func (db *DB) loadColumn(c *column, vals []int64, strs []string) error {
 		c.data.Fill(vals)
 		c.loadZones(vals)
 	}
-	db.reindexColumn(c)
+	db.reindexColumn(c, 0)
 	return nil
 }
 

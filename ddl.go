@@ -36,47 +36,7 @@ import (
 // drop appends a schema-log marker record; recovery replays it exactly
 // once, against whichever mix of checkpoint and WAL state survived.
 func (db *DB) DropTable(name string) error {
-	if err := db.replicaWriteGuard(); err != nil {
-		return err
-	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	db.mu.RLock()
-	closed := db.closed
-	t := db.tables[name]
-	db.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if t == nil {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	db.lockAllShards()
-	// Under every shard lock the completed watermark equals the newest
-	// assigned timestamp: every commit at or below ts is fully
-	// installed, every later one runs after the epoch bump and aborts.
-	ts := db.oracle.Completed()
-	t.ddlEpoch.Add(1)
-	t.dropTS = ts
-	t.dropped.Store(true)
-	// The name is released and the drop logged under db.mu — the same
-	// lock CreateTable publishes and logs under — so the schema log
-	// always orders this record before a racing re-creation's.
-	db.mu.Lock()
-	delete(db.tables, name)
-	var walErr error
-	if db.wal != nil && !db.recovering {
-		walErr = db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLDrop, TS: ts})
-	}
-	db.mu.Unlock()
-	if db.gcFloor() > ts {
-		// No running transaction or pinned generation can reach the
-		// table: release its chunks now instead of at the next Vacuum.
-		db.freeDropped(t)
-	}
-	db.unlockAllShards()
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(wal.TableDDLDrop), 0, int64(ts), name)
-	return walErr
+	return db.tableDDL(name, wal.TableDDLDrop)
 }
 
 // Truncate discards every row of the table — initial rows included —
@@ -92,6 +52,13 @@ func (db *DB) DropTable(name string) error {
 // committed at or below that stamp, so rows inserted after the
 // truncate survive a crash.
 func (db *DB) Truncate(name string) error {
+	return db.tableDDL(name, wal.TableDDLTruncate)
+}
+
+// tableDDL runs a DropTable or Truncate: it stamps the barrier with the
+// completed watermark under every shard commit lock, logs the marker,
+// then applies it.
+func (db *DB) tableDDL(name string, op uint8) error {
 	if err := db.replicaWriteGuard(); err != nil {
 		return err
 	}
@@ -108,41 +75,77 @@ func (db *DB) Truncate(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	db.lockAllShards()
+	defer db.unlockAllShards()
+	// Under every shard lock the completed watermark equals the newest
+	// assigned timestamp: every commit at or below ts is fully
+	// installed, every later one runs after the epoch bump and aborts.
 	ts := db.oracle.Completed()
-	t.ddlEpoch.Add(1)
-	t.visMutated.Store(true)
-	truncateRows(t, ts)
-	t.amu.Lock()
-	t.next, t.free = 0, nil
-	t.amu.Unlock()
-	// The count collapses to zero at every timestamp (base cancels the
-	// initial rows); post-truncate inserts append fresh deltas on top.
-	t.visLogReset(-int64(t.st.InitialRows()))
-	floor := db.gcFloor()
-	for _, c := range t.cols {
-		if ix := c.idx.Load(); ix != nil {
-			// An empty index with its build floor at the truncation:
-			// probes below ts fall back to the scan path, probes above
-			// see exactly the post-truncate rows commits maintain.
-			c.idx.Store(index.New(ix.Kind(), ts))
-		}
-		c.recomputeZones(floor)
-	}
-	db.unlockAllShards()
+	// The marker is logged before the barrier releases a dropped name,
+	// so the schema log orders it before any re-creation's table
+	// record, and under every shard lock, so the replication stream
+	// orders it before every commit above ts.
 	var walErr error
-	if db.wal != nil && !db.recovering {
-		walErr = db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLTruncate, TS: ts})
+	if db.wal != nil {
+		walErr = db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: op, TS: ts})
 	}
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(wal.TableDDLTruncate), 0, int64(ts), name)
+	db.tableBarrier(t, op, ts)
 	return walErr
+}
+
+// tableBarrier applies a drop or truncate of t stamped ts — the stamp
+// that decides exactly which rows the barrier covers. tableDDL runs it
+// at the completed watermark; a replica and recovery run it at the
+// marker's stamp, over state that may already hold commits above it.
+// The caller holds every shard commit lock (or is single-threaded
+// recovery).
+func (db *DB) tableBarrier(t *table, op uint8, ts uint64) {
+	name := t.st.Schema().Table
+	t.ddlEpoch.Add(1)
+	switch op {
+	case wal.TableDDLDrop:
+		t.dropTS = ts
+		t.dropped.Store(true)
+		db.mu.Lock()
+		if db.tables[name] == t { // recovery released the name already
+			delete(db.tables, name)
+		}
+		db.mu.Unlock()
+		if db.gcFloor() > ts {
+			// No running transaction or pinned generation can reach the
+			// table: release its chunks now instead of at the next Vacuum.
+			db.freeDropped(t)
+		}
+	case wal.TableDDLTruncate:
+		t.visMutated.Store(true)
+		t.truncated = true
+		truncateRows(t, ts)
+		t.amu.Lock()
+		t.next, t.free = 0, nil
+		t.amu.Unlock()
+		// The count collapses to zero at every timestamp (base cancels
+		// the initial rows); post-truncate inserts append fresh deltas.
+		t.visLogReset(-int64(t.st.InitialRows()))
+		floor := db.gcFloor()
+		for _, c := range t.cols {
+			if ix := c.idx.Load(); ix != nil {
+				// An empty index with its build floor at the truncation:
+				// probes below ts fall back to the scan path, probes
+				// above see exactly the post-truncate rows commits
+				// maintain.
+				c.idx.Store(index.New(ix.Kind(), ts))
+			}
+			c.recomputeZones(floor)
+		}
+	}
+	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(op), 0, int64(ts), name)
 }
 
 // truncateRows kills every row born at or below ts: birth back to the
 // NeverTS sentinel, death cleared. Rows born after ts — possible only
-// during recovery replay, where commits above the truncate's stamp
-// have already been re-applied — survive untouched. Per-row stores on
-// purpose: they go through the fault path that breaks copy-on-write
-// sharing, so pinned pre-truncate snapshots keep their captured pages.
+// when recovery or a replica applies the marker over state that holds
+// commits above its stamp — survive untouched. Per-row stores on purpose: they go through the
+// fault path that breaks copy-on-write sharing, so pinned pre-truncate
+// snapshots keep their captured pages.
 // The caller holds every shard commit lock (or is single-threaded
 // recovery).
 func truncateRows(t *table, ts uint64) {

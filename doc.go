@@ -47,9 +47,9 @@
 //     test-only WithFS option)
 //
 // Open-time options: WithSnapshotStrategy, WithCostModel,
-// WithPageSize, WithSnapshotRefresh, WithSnapshotMaxAge,
-// WithInitialSchema, WithCommitShards, WithGroupCommitMaxWait,
-// WithDurability, WithSyncPolicy, WithAutoCheckpoint,
+// WithPageSize, WithSnapshotRefresh, WithInitialSchema,
+// WithCommitShards, WithGroupCommitMaxWait, WithDurability,
+// WithSyncPolicy, WithAutoCheckpoint,
 // WithAutoCheckpointInterval, WithSlowQueryThreshold,
 // WithMetricsServer, WithServeAddr, WithReplicaOf, WithNamespace,
 // WithServeMaxSessions, WithFS (test-only fault injection).
@@ -169,20 +169,23 @@
 // WithReplicaOf(addr) opens the database as a read replica of a
 // serving primary: it bootstraps from a checkpoint the primary streams
 // over the connection (the same body, encoder and loader as a
-// checkpoint file and crash recovery), then continuously replays the primary's commit, load and schema records
-// through the same idempotent-by-commitTS rules crash recovery uses —
-// replication is recovery over the wire. The replica is a live
-// database serving OLAP snapshot reads at bounded, reported staleness
-// (Stats.ReplicaAppliedTS against Stats.ReplicaSourceTS; the primary
-// reports per-replica lag in commits via Stats.MaxReplicaLag and the
-// ReplicaLagHist histogram). Local mutations fail with ErrReplicaRead
-// until DB.Promote(requireTS) turns the replica into a primary —
-// refusing with ErrStalePromotion when its applied watermark has not
-// reached requireTS, so electing the most-caught-up replica after a
-// primary failure loses no committed transaction. A durable replica
-// re-appends every applied record to its own WAL and restarts
-// standalone; a serving replica (WithServeAddr alongside WithReplicaOf)
-// answers remote read sessions and can feed second-tier replicas.
+// checkpoint file and crash recovery), then continuously applies the
+// primary's commit, load and schema records through the primary's own
+// mutators — commit install, table-DDL barrier, online index build,
+// load fill — guarded by the idempotent-by-commitTS rules crash
+// recovery uses: replication is recovery over the wire. The replica
+// is a live database serving OLAP snapshot reads at bounded, reported
+// staleness (Stats.ReplicaAppliedTS against Stats.ReplicaSourceTS; the
+// primary reports per-replica lag in commits via Stats.MaxReplicaLag
+// and the ReplicaLagHist histogram). Local mutations fail with
+// ErrReplicaRead until DB.Promote(requireTS) turns the replica into a
+// primary — refusing with ErrStalePromotion when its applied watermark
+// has not reached requireTS, so electing the most-caught-up replica
+// after a primary failure loses no committed transaction. A durable
+// replica re-appends every applied record to its own WAL and restarts
+// standalone; a serving replica (WithServeAddr alongside
+// WithReplicaOf) answers remote read sessions and can feed second-tier
+// replicas.
 //
 // Note on Filter: its positional (lo, hi) range form predates the
 // predicate tree and is retained for compatibility; for equality

@@ -28,6 +28,16 @@ func tableRecord(schema Schema, rows int) wal.TableRecord {
 	return rec
 }
 
+// schemaOf is tableRecord's inverse: the schema a schema-log table
+// record declares. Recovery and a replica's schema apply share it.
+func schemaOf(tr wal.TableRecord) Schema {
+	schema := Schema{Table: tr.Name}
+	for _, c := range tr.Columns {
+		schema.Columns = append(schema.Columns, ColumnDef{Name: c.Name, Type: ColumnType(c.Type), Index: IndexKind(c.Index)})
+	}
+	return schema
+}
+
 // wrecIndexDDL converts an online CreateIndex/DropIndex into its
 // schema-log form.
 func wrecIndexDDL(tab, col string, kind IndexKind, drop bool) wal.IndexDDLRecord {
@@ -473,11 +483,7 @@ func (db *DB) recover() error {
 	}
 	var ddl []pendingDDL
 	if err := db.wal.ReplaySchemaDDL(func(tr wal.TableRecord) error {
-		schema := Schema{Table: tr.Name}
-		for _, c := range tr.Columns {
-			schema.Columns = append(schema.Columns, ColumnDef{Name: c.Name, Type: ColumnType(c.Type), Index: IndexKind(c.Index)})
-		}
-		return db.CreateTable(schema, tr.Rows)
+		return db.CreateTable(schemaOf(tr), tr.Rows)
 	}, func(ir wal.IndexDDLRecord) error {
 		// Online index DDL, replayed in log order over the declared
 		// state. Only existence is tracked here (empty placeholders);
@@ -537,29 +543,15 @@ func (db *DB) recover() error {
 	var cols []*column
 	var tabs []*table
 	if err := db.wal.ReplayCommits(func(rec wal.LoadRecord) error {
-		// Bulk-load chunks are the state at time zero: a chunk value
-		// lands only on rows no commit has ever stamped, so replay is
-		// idempotent and insensitive to ordering against commit records
-		// — any committed write (timestamp > 0, whether recovered from
-		// the checkpoint or replayed) wins over a load. Chunks beyond
-		// the durable schema prefix are skipped like commit records.
+		// Bulk-load chunks are the state at time zero (fillLoad): any
+		// committed write, whether recovered from the checkpoint or
+		// replayed, wins over a load. Chunks beyond the durable schema
+		// prefix are skipped like commit records.
 		c, ok := db.recoveredLoadColumn(rec)
 		if !ok {
 			return nil
 		}
-		if rec.HasStrs {
-			for i, s := range rec.Strs {
-				if row := rec.Start + i; c.wts.GetU(row) == 0 {
-					c.data.Set(row, c.dict.Encode(s))
-				}
-			}
-		} else {
-			for i, v := range rec.Vals {
-				if row := rec.Start + i; c.wts.GetU(row) == 0 {
-					c.data.Set(row, v)
-				}
-			}
-		}
+		c.fillLoad(rec)
 		loads++
 		return nil
 	}, func(rec wal.CommitRecord) error {
@@ -582,8 +574,8 @@ func (db *DB) recover() error {
 		}
 		for i, w := range rec.Writes {
 			c := cols[i]
-			if rec.TS <= c.wts.GetU(w.Row) {
-				continue // a newer write already owns the row
+			if !c.newerWrite(w.Row, rec.TS) {
+				continue
 			}
 			val := w.Val
 			if w.HasStr {
@@ -612,15 +604,9 @@ func (db *DB) recover() error {
 			maxTS = d.ts
 		}
 		t := db.tabList[d.slot]
-		switch d.op {
-		case wal.TableDDLTruncate:
-			t.visMutated.Store(true)
-			t.truncated = true
-			truncateRows(t, d.ts)
-		case wal.TableDDLDrop:
-			t.dropTS = d.ts
-			t.dropped.Store(true)
-			db.freeDropped(t)
+		db.tableBarrier(t, d.op, d.ts)
+		if d.op == wal.TableDDLDrop {
+			db.freeDropped(t) // nothing can reach a table dropped before the crash
 		}
 	}
 	db.recoveredIndexes = db.rebuildDerivedState()
@@ -646,10 +632,7 @@ func (db *DB) applyVisOps(visOps map[visKey][]visOp) {
 		sort.Slice(ops, func(i, j int) bool { return ops[i].ts < ops[j].ts })
 		t := db.tabList[k.table]
 		birth, death := t.st.Birth(), t.st.Death()
-		floor := death.GetU(k.row)
-		if b := birth.GetU(k.row); b != storage.NeverTS && b > floor {
-			floor = b
-		}
+		floor := t.rowOpFloor(k.row)
 		for _, op := range ops {
 			if op.ts <= floor {
 				continue
@@ -661,6 +644,52 @@ func (db *DB) applyVisOps(visOps map[visKey][]visOp) {
 				birth.SetU(k.row, op.ts)
 			}
 		}
+	}
+}
+
+// newerWrite reports whether a write stamped ts is newer than what row
+// of c already holds: replay's newer-wins rule, which makes a record
+// re-applied (or applied after a newer one) a no-op per cell.
+func (c *column) newerWrite(row int, ts uint64) bool {
+	return ts > c.wts.GetU(row)
+}
+
+// rowOpFloor returns the newest stamp row's visibility pair already
+// reflects: its death stamp, or its birth when later (a NeverTS birth
+// marks an unborn or reclaimed slot and does not count). Replay skips
+// row ops at or below it — the pair reflects their effect, or a newer
+// one's.
+func (t *table) rowOpFloor(row int) uint64 {
+	floor := t.st.Death().GetU(row)
+	if b := t.st.Birth().GetU(row); b != storage.NeverTS && b > floor {
+		floor = b
+	}
+	return floor
+}
+
+// fillLoad writes a bulk-load chunk into c, only on rows no commit has
+// stamped (write timestamp zero), widening their zones. Loads are the
+// state at time zero, so a fill is idempotent and insensitive to
+// ordering against commit records: any committed write wins. Recovery
+// and a replica's live apply share it.
+func (c *column) fillLoad(rec wal.LoadRecord) {
+	n := len(rec.Vals)
+	if rec.HasStrs {
+		n = len(rec.Strs)
+	}
+	for i := range n {
+		row := rec.Start + i
+		if c.wts.GetU(row) != 0 {
+			continue
+		}
+		var v int64
+		if rec.HasStrs {
+			v = c.dict.Encode(rec.Strs[i])
+		} else {
+			v = rec.Vals[i]
+		}
+		c.data.Set(row, v)
+		c.widen(row, v)
 	}
 }
 

@@ -50,17 +50,17 @@ func buildColumnIndex(c *column, kind IndexKind, minTS uint64) *index.Index {
 }
 
 // reindexColumn rebuilds c's index (if any) from scratch after a bulk
-// load replaced the column's contents. The build floor moves up to the
-// current completed timestamp: generations pinned before the load fall
-// back to the scan path, which reads the same post-load arrays, so the
-// two paths stay in agreement.
-func (db *DB) reindexColumn(c *column) {
-	old := c.idx.Load()
-	if old == nil {
+// load replaced the column's contents, online (publishIndex):
+// generations pinned before the load fall back to the scan path, which
+// reads the same post-load arrays, so the two paths stay in agreement.
+func (db *DB) reindexColumn(c *column, above uint64) {
+	if c.idx.Load() == nil {
 		return
 	}
 	db.lockAllShards()
-	c.idx.Store(buildColumnIndex(c, old.Kind(), db.oracle.Completed()))
+	if old := c.idx.Load(); old != nil {
+		db.publishIndex(c, old.Kind(), above)
+	}
 	db.unlockAllShards()
 }
 
@@ -82,25 +82,45 @@ func (db *DB) CreateIndex(tab, col string, kind IndexKind) error {
 	if err != nil {
 		return err
 	}
-	db.lockAllShards()
-	if c.idx.Load() != nil {
-		db.unlockAllShards()
-		return fmt.Errorf("%w: %s.%s", ErrIndexExists, tab, col)
+	if err := db.createIndex(c, kind, 0); err != nil {
+		return err
 	}
-	// Under all shard locks the completed watermark equals the maximum
-	// assigned timestamp: every commit at or below it is fully
-	// installed, every later one will run after the index publishes.
-	// Values displaced before the build live only in version chains the
-	// build cannot see — hence the floor.
-	minTS := db.oracle.Completed()
-	c.idx.Store(buildColumnIndex(c, kind, minTS))
-	db.unlockAllShards()
-	db.tel.rec.RecordNote(telemetry.EvIndexDDL, 1, int64(minTS), 0,
-		fmt.Sprintf("%s.%s %s", tab, col, kind))
 	if db.wal != nil && !db.recovering {
 		return db.wal.AppendIndexDDL(wrecIndexDDL(tab, col, kind, false))
 	}
 	return nil
+}
+
+// createIndex is CreateIndex's build, shared with a replica's index
+// DDL: under every shard commit lock, it fails if c is already indexed
+// and otherwise publishes a fresh index (publishIndex).
+func (db *DB) createIndex(c *column, kind IndexKind, above uint64) error {
+	db.lockAllShards()
+	defer db.unlockAllShards()
+	if c.idx.Load() != nil {
+		return fmt.Errorf("%w: %s.%s", ErrIndexExists, c.tab.st.Schema().Table, c.def.Name)
+	}
+	floor := db.publishIndex(c, kind, above)
+	db.tel.rec.RecordNote(telemetry.EvIndexDDL, 1, int64(floor), 0,
+		fmt.Sprintf("%s.%s %s", c.tab.st.Schema().Table, c.def.Name, kind))
+	return nil
+}
+
+// publishIndex builds c's index of the given kind over its current
+// contents and publishes it, returning the build floor. The caller
+// holds every shard commit lock, so the completed watermark equals the
+// newest assigned timestamp: every commit at or below it is fully
+// installed, every later one runs after the index publishes. Values
+// displaced before the build live only in version chains the build
+// cannot see — hence the floor, below which probes fall back to the
+// scan path. above raises it: a replica has applied commit records
+// beyond its watermark (heartbeats advance it, and they are
+// best-effort), and a reader pinned at the watermark must not probe
+// values it cannot see yet.
+func (db *DB) publishIndex(c *column, kind IndexKind, above uint64) uint64 {
+	floor := max(db.oracle.Completed(), above)
+	c.idx.Store(buildColumnIndex(c, kind, floor))
+	return floor
 }
 
 // DropIndex removes the column's secondary index. In-flight probes

@@ -40,7 +40,6 @@ type config struct {
 	cost         CostModel
 	pageSize     int
 	refreshEvery uint64
-	maxAge       time.Duration
 	schemas      []initialSchema
 	commitShards int // 0 = auto (GOMAXPROCS)
 	durDir       string
@@ -110,8 +109,9 @@ func WithPageSize(n int) Option {
 // WithSnapshotRefresh makes OLAP snapshots refresh after every n
 // commits: a new snapshot generation is started once n commits have
 // completed since the current generation's timestamp. n == 0 disables
-// commit-count-based refresh (generations rotate only by age, or
-// never). Default 1, the paper's high-frequency mode.
+// commit-count-based refresh (generations then rotate only when
+// something else retires them, such as a checkpoint). Default 1, the
+// paper's high-frequency mode.
 func WithSnapshotRefresh(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -119,14 +119,6 @@ func WithSnapshotRefresh(n int) Option {
 		}
 		c.refreshEvery = uint64(n)
 	}
-}
-
-// WithSnapshotMaxAge additionally bounds snapshot staleness by wall
-// time: an OLAP transaction beginning more than d after the current
-// generation was created starts a fresh generation. Zero (the default)
-// disables age-based refresh.
-func WithSnapshotMaxAge(d time.Duration) Option {
-	return func(c *config) { c.maxAge = d }
 }
 
 // WithCommitShards partitions the commit pipeline into n shards:

@@ -8,10 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ankerdb/internal/index"
 	"ankerdb/internal/mvcc"
 	"ankerdb/internal/repl"
-	"ankerdb/internal/storage"
 	"ankerdb/internal/telemetry"
 	"ankerdb/internal/wal"
 )
@@ -20,20 +18,26 @@ import (
 // commit, bulk-load and schema-log records, byte-identical to what its
 // own crash recovery would replay — to read replicas over the framed
 // protocol in internal/repl. A replica applies the stream continuously
-// through the same idempotent-by-commitTS rules recovery uses, so
-// primary and replica state converge by construction: replication IS
-// recovery over the wire, with a checkpoint streamed over the
-// connection as the bootstrap instead of a checkpoint file: the same
-// encoder, decoder and derived-state rebuild recovery uses.
+// through the primary's own mutators — commit install steps
+// (installWrite, installRowOp, rowDeltas), table-DDL barrier
+// (tableBarrier), online index build (createIndex, reindexColumn) and
+// load fill (fillLoad) — guarded by the idempotent-by-commitTS rules
+// recovery uses (newerWrite, rowOpFloor), so primary and replica state
+// converge by construction: replication IS recovery over the wire,
+// with a checkpoint streamed over the connection as the bootstrap
+// instead of a checkpoint file: the same encoder, decoder and
+// derived-state rebuild recovery uses.
 //
 // Ordering. The publisher (internal/repl) releases records in WAL
 // append order, commits gated behind the completion watermark, and
 // in-band heartbeats carry watermarks that every covered record
 // precedes. The replica applies single-threaded, taking the involved
-// shard commit locks per record exactly like the primary's installer,
+// shard commit locks per record exactly like a cross-shard commit,
 // and advances its own oracle only on heartbeats (ObserveCommitted) —
 // so replica OLAP snapshots always read a prefix of the primary's
-// committed history, never a torn middle.
+// committed history, never a torn middle. Records applied above the
+// last heartbeat are invisible to those snapshots, so an index the
+// replica builds takes its floor above them (publishIndex).
 //
 // Resume vs bootstrap. Within a process lifetime a replica reconnects
 // with AfterTS = its completed watermark: records applied beyond the
@@ -223,6 +227,14 @@ func (r *replicaState) stop() {
 	<-r.done
 }
 
+// noteApplied raises the applied high-water mark to ts. Only the
+// connector goroutine (and Open, before it starts) writes it.
+func (r *replicaState) noteApplied(ts uint64) {
+	if ts > r.applied.Load() {
+		r.applied.Store(ts)
+	}
+}
+
 func (r *replicaState) stopping() bool {
 	select {
 	case <-r.quit:
@@ -326,9 +338,7 @@ func (r *replicaState) runBootstrap(c *repl.Conn) error {
 	// version-chain entries to repair from. Forcing staleness makes the
 	// next acquire rotate to a generation born after the rebuild.
 	db.snaps.stale.Store(true)
-	if seed > r.applied.Load() {
-		r.applied.Store(seed)
-	}
+	r.noteApplied(seed)
 	r.bootstraps.Add(1)
 	db.tel.rec.Record(telemetry.EvReplBootstrap, int64(ts), int64(seed), 0)
 	return nil
@@ -362,15 +372,11 @@ func (r *replicaState) applySchema(frame []byte) error {
 	}
 	switch {
 	case rec.Table != nil:
-		schema := Schema{Table: rec.Table.Name}
-		for _, cd := range rec.Table.Columns {
-			schema.Columns = append(schema.Columns, ColumnDef{Name: cd.Name, Type: ColumnType(cd.Type), Index: IndexKind(cd.Index)})
-		}
-		if err := db.createTable(schema, rec.Table.Rows, false); err != nil {
+		if err := db.createTable(schemaOf(*rec.Table), rec.Table.Rows, false); err != nil {
 			return err
 		}
 	case rec.Index != nil:
-		db.applyIndexDDL(*rec.Index)
+		r.applyIndexDDL(*rec.Index)
 	case rec.DDL != nil:
 		db.applyTableDDL(*rec.DDL)
 		// The marker's timestamp is a commit TS the primary issued, and
@@ -380,19 +386,18 @@ func (r *replicaState) applySchema(frame []byte) error {
 		// otherwise a promoted replica could issue commit timestamps at
 		// or below an applied truncate barrier, leaving the new rows
 		// invisible to it and recovery's truncate replay to kill them.
-		if ts := rec.DDL.TS; ts > r.applied.Load() {
-			r.applied.Store(ts)
-		}
+		r.noteApplied(rec.DDL.TS)
 	}
 	r.schemaSeq = seq + 1
 	return nil
 }
 
 // applyIndexDDL mirrors an online CreateIndex/DropIndex at the
-// replica. Tolerant of records that do not resolve (dropped tables):
-// skipped like recovery skips them.
-func (db *DB) applyIndexDDL(rec wal.IndexDDLRecord) {
-	c, err := db.lookup(rec.Table, rec.Column)
+// replica, through CreateIndex's own build with the floor raised to
+// the newest applied record. Tolerant of records that do not resolve
+// (dropped tables): skipped like recovery skips them.
+func (r *replicaState) applyIndexDDL(rec wal.IndexDDLRecord) {
+	c, err := r.db.lookup(rec.Table, rec.Column)
 	if err != nil {
 		return
 	}
@@ -400,76 +405,43 @@ func (db *DB) applyIndexDDL(rec wal.IndexDDLRecord) {
 		c.idx.Store(nil)
 		return
 	}
-	kind := IndexKind(rec.Kind)
-	if !kind.Valid() {
-		return
+	if kind := IndexKind(rec.Kind); kind.Valid() {
+		_ = r.db.createIndex(c, kind, r.applied.Load())
 	}
-	db.lockAllShards()
-	c.idx.Store(buildColumnIndex(c, kind, db.oracle.Completed()))
-	db.unlockAllShards()
 }
 
-// applyTableDDL mirrors a DropTable/Truncate marker at the replica, at
-// the RECORD's timestamp — the stamp that decides exactly which
-// applied rows the barrier covers, same as recovery replay. The stream
-// orders the marker after every commit its timestamp covers (the
-// primary logged it under every shard lock), so applying it in stream
-// position is exact.
+// applyTableDDL mirrors a DropTable/Truncate marker at the replica
+// through the primary's barrier, at the RECORD's timestamp — the stamp
+// that decides exactly which applied rows the barrier covers, same as
+// recovery replay. The primary logs the marker under every shard lock,
+// so the stream orders it after every commit its timestamp covers and
+// before every later one.
 func (db *DB) applyTableDDL(rec wal.TableDDLRecord) {
-	db.mu.RLock()
-	t := db.tables[rec.Name]
-	db.mu.RUnlock()
-	if t == nil {
+	t, err := db.lookupTable(rec.Name)
+	if err != nil {
 		return
 	}
-	ts := rec.TS
 	db.lockAllShards()
-	t.ddlEpoch.Add(1)
-	switch rec.Op {
-	case wal.TableDDLDrop:
-		t.dropTS = ts
-		t.dropped.Store(true)
-		db.mu.Lock()
-		delete(db.tables, rec.Name)
-		db.mu.Unlock()
-		if db.gcFloor() > ts {
-			db.freeDropped(t)
-		}
-	case wal.TableDDLTruncate:
-		t.visMutated.Store(true)
-		t.truncated = true
-		truncateRows(t, ts)
-		t.amu.Lock()
-		t.next, t.free = 0, nil
-		t.amu.Unlock()
-		t.visLogReset(-int64(t.st.InitialRows()))
-		floor := db.gcFloor()
-		for _, c := range t.cols {
-			if ix := c.idx.Load(); ix != nil {
-				c.idx.Store(index.New(ix.Kind(), ts))
-			}
-			c.recomputeZones(floor)
-		}
-	}
+	db.tableBarrier(t, rec.Op, rec.TS)
 	db.unlockAllShards()
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(rec.Op), 0, int64(ts), rec.Name)
 }
 
-// applyCommit replays one streamed commit record into live replica
-// state: the install() critical section reproduced under the involved
-// shard commit locks, with recovery's idempotence guards — newer-wins
-// per written cell, birth/death floor per row op — so duplicated
-// records (bootstrap overlap, resume replays) are no-ops. Returns
-// whether anything applied (a fully skipped duplicate is not
-// re-appended to the replica's own WAL).
-func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
+// applyCommit installs one streamed commit record into live replica
+// state through the primary's install steps (installWrite,
+// installRowOp, rowDeltas), under the involved shard commit locks
+// taken like a cross-shard commit takes them, and logs it to the
+// replica's own WAL in the segment series a cross-shard commit picks.
+// Only replay adds the idempotence guards — newer-wins per written
+// cell (newerWrite), the birth/death floor per row op (rowOpFloor) —
+// so duplicated records (bootstrap overlap, resume replays) are
+// no-ops. It returns whether anything applied: a fully skipped
+// duplicate is not re-logged.
+func (r *replicaState) applyCommit(rec wal.CommitRecord) (bool, error) {
+	db := r.db
 	cols, tabs, ok, err := db.resolveCommit(rec, nil, nil)
 	if !ok {
 		return false, err // beyond the applied schema prefix: skip whole
 	}
-
-	// The involved shard locks, ascending — the same exclusion the
-	// primary's installer holds against snapshot capture.
 	marks := make([]bool, len(db.shards))
 	for _, c := range cols {
 		marks[db.shardOf(c.id)] = true
@@ -477,22 +449,11 @@ func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
 	for _, op := range rec.Ops {
 		marks[db.shardOf(mvcc.VisColumnID(op.Table))] = true
 	}
-	var locked []int
-	for id, m := range marks {
-		if m {
-			db.shards[id].mu.Lock()
-			locked = append(locked, id)
-		}
-	}
-	defer func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			db.shards[locked[i]].mu.Unlock()
-		}
-	}()
+	ids := markedShards(marks)
+	shards := db.lockShards(ids)
 
-	// Rows this record itself births skip the version-chain push,
-	// exactly like install(): the displaced word belongs to a reclaimed
-	// or never-born incarnation no reader can reach.
+	// Rows this record itself births skip the version-chain push, like
+	// the primary's install (txn RowInserted).
 	inserted := func(tab, row int) bool {
 		for _, op := range rec.Ops {
 			if !op.Del && op.Table == tab && op.Row == row {
@@ -505,130 +466,67 @@ func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
 	ts := rec.TS
 	for i, w := range rec.Writes {
 		c := cols[i]
-		if ts <= c.wts.GetU(w.Row) {
-			continue // a newer (or this very) write already owns the cell
+		if !c.newerWrite(w.Row, ts) {
+			continue
 		}
 		val := w.Val
 		if w.HasStr {
 			val = c.dict.Encode(w.Str)
 		}
-		if inserted(w.Table, w.Row) {
-			c.wts.SetU(w.Row, ts)
-			c.data.Set(w.Row, val)
-			c.widen(w.Row, val)
-			if ix := c.idx.Load(); ix != nil {
-				ix.Add(val, w.Row, ts)
-			}
-		} else {
-			old := c.data.Get(w.Row)
-			oldWTS := c.wts.GetU(w.Row)
-			c.chain.Push(w.Row, old, oldWTS)
-			c.noteVersioned(w.Row)
-			c.wts.SetU(w.Row, ts)
-			c.data.Set(w.Row, val)
-			c.widen(w.Row, val)
-			if ix := c.idx.Load(); ix != nil && old != val {
-				ix.Kill(old, w.Row, ts)
-				ix.Add(val, w.Row, ts)
-			}
-		}
+		c.installWrite(w.Row, val, ts, inserted(w.Table, w.Row))
 		applied = true
 	}
-	// Row ops after all writes, death reset before birth, birth last —
-	// the lock-free reader ordering install() documents.
-	var visDeltas []struct {
-		t *table
-		d int64
-	}
+	var deltas rowDeltas
 	for i, op := range rec.Ops {
 		t := tabs[i]
-		birth, death := t.st.Birth(), t.st.Death()
-		floor := death.GetU(op.Row)
-		if b := birth.GetU(op.Row); b != storage.NeverTS && b > floor {
-			floor = b
+		if ts <= t.rowOpFloor(op.Row) {
+			continue
 		}
-		if ts <= floor {
-			continue // duplicate: the applied state already covers it
-		}
-		t.visMutated.Store(true)
-		if op.Del {
-			for _, c := range t.cols {
-				if ix := c.idx.Load(); ix != nil {
-					ix.Kill(c.data.Get(op.Row), op.Row, ts)
-				}
-			}
-			death.SetU(op.Row, ts)
-			db.st.rowDeletes.Add(1)
-		} else {
-			death.SetU(op.Row, 0)
-			birth.SetU(op.Row, ts)
-			db.st.rowInserts.Add(1)
+		db.installRowOp(t, op.Row, op.Del, ts)
+		deltas.add(t, op.Del)
+		if !op.Del {
+			// The primary's allocator reserved the row; keep the replica's
+			// high-water mark over it so Vacuum's reclaim sweep sees it.
 			t.amu.Lock()
-			if op.Row >= t.next {
-				t.next = op.Row + 1
-			}
+			t.next = max(t.next, op.Row+1)
 			t.amu.Unlock()
 		}
 		applied = true
-		d := int64(1)
-		if op.Del {
-			d = -1
-		}
-		merged := false
-		for i := range visDeltas {
-			if visDeltas[i].t == t {
-				visDeltas[i].d += d
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			visDeltas = append(visDeltas, struct {
-				t *table
-				d int64
-			}{t, d})
-		}
 	}
-	for _, e := range visDeltas {
-		if e.d != 0 {
-			e.t.visLogAppend(ts, e.d)
-		}
+	deltas.publish(ts)
+	unlockShards(shards)
+	if !applied {
+		return false, nil
 	}
-	return applied, nil
+	r.noteApplied(ts)
+	if db.wal != nil {
+		// Outside the shard locks: the replica's own log does not gate
+		// visibility (heartbeats do). Failure poisons the log and
+		// surfaces through Stats/metrics; serving from memory stays
+		// correct.
+		_ = db.logCommit(ids, rec)
+	}
+	return true, nil
 }
 
-// applyLoad replays one streamed bulk-load chunk: values land only on
-// rows no commit has stamped (write timestamp zero), under the
-// column's shard lock, zones widened (never replaced — live readers)
-// and the column's index rebuilt like the primary's post-load reindex.
-func (db *DB) applyLoad(rec wal.LoadRecord) bool {
+// applyLoad replays one streamed bulk-load chunk through recovery's
+// fill under the column's shard lock, rebuilds the column's index like
+// the primary's post-load reindex (floor raised to the newest applied
+// record), and logs the chunk to the replica's own WAL.
+func (r *replicaState) applyLoad(rec wal.LoadRecord) {
+	db := r.db
 	c, ok := db.recoveredLoadColumn(rec)
 	if !ok {
-		return false
+		return
 	}
 	s := db.shards[db.shardOf(c.id)]
 	s.mu.Lock()
-	if rec.HasStrs {
-		for i, str := range rec.Strs {
-			if row := rec.Start + i; c.wts.GetU(row) == 0 {
-				v := c.dict.Encode(str)
-				c.data.Set(row, v)
-				c.widen(row, v)
-			}
-		}
-	} else {
-		for i, v := range rec.Vals {
-			if row := rec.Start + i; c.wts.GetU(row) == 0 {
-				c.data.Set(row, v)
-				c.widen(row, v)
-			}
-		}
-	}
+	c.fillLoad(rec)
 	s.mu.Unlock()
-	if c.idx.Load() != nil {
-		db.reindexColumn(c)
+	db.reindexColumn(c, r.applied.Load())
+	if db.wal != nil {
+		_ = db.wal.AppendLoads(s.id, []wal.LoadRecord{rec})
 	}
-	return true
 }
 
 // run is the connector's stream-and-reconnect loop: apply frames until
@@ -712,25 +610,8 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			if err != nil {
 				return err
 			}
-			applied, err := db.applyCommit(rec)
-			if err != nil {
+			if _, err := r.applyCommit(rec); err != nil {
 				return err
-			}
-			if applied {
-				if rec.TS > r.applied.Load() {
-					r.applied.Store(rec.TS)
-				}
-				if db.wal != nil {
-					logShard := 0
-					if len(rec.Ops) > 0 {
-						logShard = db.shardOf(mvcc.VisColumnID(rec.Ops[0].Table))
-					} else if len(rec.Writes) > 0 {
-						logShard = db.shardOf(mvcc.ColumnID{Table: rec.Writes[0].Table, Col: rec.Writes[0].Col})
-					}
-					// Failure poisons the log and surfaces through
-					// Stats/metrics; serving from memory stays correct.
-					_ = db.wal.AppendCommits(logShard, []wal.CommitRecord{rec})
-				}
 			}
 			r.frames.Add(1)
 		case repl.MsgLoad:
@@ -738,9 +619,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			if err != nil {
 				return err
 			}
-			if db.applyLoad(rec) && db.wal != nil {
-				_ = db.wal.AppendLoads(db.shardOf(mvcc.ColumnID{Table: rec.Table, Col: rec.Col}), []wal.LoadRecord{rec})
-			}
+			r.applyLoad(rec)
 			r.frames.Add(1)
 		case repl.MsgSchema:
 			if err := r.applySchema(payload); err != nil {

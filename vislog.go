@@ -47,6 +47,44 @@ func (t *table) visLogAppend(ts uint64, delta int64) {
 	})
 }
 
+// rowDeltas accumulates one commit's per-table insert-minus-delete
+// deltas, published as one visibility-log entry per mutated table. A
+// commit touches very few tables, so a slice with linear search beats
+// a map.
+type rowDeltas []tableDelta
+
+type tableDelta struct {
+	t *table
+	d int64
+}
+
+// add counts one row birth (del false) or death of t.
+func (r *rowDeltas) add(t *table, del bool) {
+	d := int64(1)
+	if del {
+		d = -1
+	}
+	for i := range *r {
+		if (*r)[i].t == t {
+			(*r)[i].d += d
+			return
+		}
+	}
+	*r = append(*r, tableDelta{t, d})
+}
+
+// publish appends each table's net delta at commit timestamp ts, under
+// the tables' visibility shard locks (held by the caller) and before
+// ts completes — so any reader that can see ts sees the entry. An
+// insert and delete in one commit net out and append nothing.
+func (r rowDeltas) publish(ts uint64) {
+	for _, e := range r {
+		if e.d != 0 {
+			e.t.visLogAppend(ts, e.d)
+		}
+	}
+}
+
 // visCountAt returns the number of rows visible at ts. ts must be at
 // or above the GC floor the log was last compacted to — true for every
 // registered reader timestamp (OLTP begin or pinned generation).
