@@ -83,6 +83,62 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitCrossShard measures the commit path of a transaction
+// whose footprint spans two commit shards: one write into c0 and one
+// into a column a probe commit shows to be routed to another shard.
+func BenchmarkCommitCrossShard(b *testing.B) {
+	db := openBenchDB(b, 2)
+	defer db.Close()
+	other := otherShardColumn(b, db)
+	rnd := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := db.Begin(ankerdb.OLTP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Set("bench", "c0", rnd.Intn(benchRows), int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Set("bench", other, rnd.Intn(benchRows), int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// otherShardColumn returns the first bench column routed to a commit
+// shard other than c0's: a commit writing both bumps
+// CommitShardConflicts exactly when its footprint spans shards.
+func otherShardColumn(b *testing.B, db *ankerdb.DB) string {
+	b.Helper()
+	for c := 1; c < benchCols; c++ {
+		col := fmt.Sprintf("c%d", c)
+		before := db.Stats().CommitShardConflicts
+		w, err := db.Begin(ankerdb.OLTP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Set("bench", "c0", 0, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Set("bench", col, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		if db.Stats().CommitShardConflicts > before {
+			return col
+		}
+	}
+	b.Fatal("every bench column shares c0's commit shard")
+	return ""
+}
+
 // BenchmarkCommitParallel measures the sharded group-commit pipeline
 // under parallel writers with disjoint column footprints — the
 // Figure 11 experiment as a Go benchmark.

@@ -78,7 +78,6 @@ var (
 	flagShards     = flag.String("shards", "1,0", "comma-separated commit shard counts for the commit and durability sweeps (0 = GOMAXPROCS)")
 	flagSync       = flag.String("sync", "none,groupOnly,always", "comma-separated WAL sync policies for the durability sweep")
 	flagDurDir     = flag.String("durdir", "", "durability directory root (default: a temp dir, removed afterwards)")
-	flagMaxWait    = flag.Duration("maxwait", 0, "group-commit leader max wait for followers (durability sweep; 0 = drain once)")
 	flagDur        = flag.Duration("dur", 2*time.Second, "duration per configuration (mixed, commit and durability benchmarks)")
 	flagZeroCost   = flag.Bool("zerocost", false, "disable the simulated kernel cost model")
 	flagFormat     = flag.String("format", "text", "output format: text, csv, json")
@@ -892,8 +891,7 @@ func benchDurability() {
 				ankerdb.WithCommitShards(shards),
 				ankerdb.WithSnapshotRefresh(0),
 				ankerdb.WithDurability(dir),
-				ankerdb.WithSyncPolicy(policy),
-				ankerdb.WithGroupCommitMaxWait(*flagMaxWait))
+				ankerdb.WithSyncPolicy(policy))
 			commits, aborts := runCommitters(db, *flagWriters, *flagDur)
 			st := db.Stats()
 			captureStats("durability", st)
@@ -946,7 +944,6 @@ func benchDurability() {
 				{"wal_bytes", float64(st.WALBytes)},
 				{"fsyncs", float64(st.FsyncCount)},
 				{"fsyncs_per_commit", fsyncsPerCommit},
-				{"group_max_wait_ns", float64(st.GroupCommitMaxWait.Nanoseconds())},
 				{"recovery_ns", float64(recovery.Nanoseconds())},
 				{"recovery_replayed_txns", float64(replayed)},
 				{"checkpoint_ns", float64(checkpoint.Nanoseconds())},

@@ -28,7 +28,6 @@ func TestMicroSweep(t *testing.T) {
 	*flagRefresh = 4
 	*flagShards = "1"
 	*flagSync = "none"
-	*flagMaxWait = 50 * time.Microsecond
 	*flagDur = 30 * time.Millisecond
 	*flagZeroCost = true
 	*flagDurDir = t.TempDir()

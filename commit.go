@@ -3,7 +3,9 @@ package ankerdb
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ankerdb/internal/mvcc"
@@ -21,13 +23,17 @@ import (
 //     recent-commits list used for precision-locking validation of the
 //     columns routed to it, so transactions with disjoint footprints
 //     validate and install in parallel.
-//   - Same-shard commits are batched: committers enqueue and the first
-//     to take the shard lock drains the queue, validates the whole
-//     batch under one lock acquisition, and stamps it with consecutive
-//     commit timestamps from a single oracle block allocation.
-//   - Transactions whose footprint spans multiple shards take every
-//     involved shard lock in ascending shard order (deadlock-free) and
-//     commit alone.
+//   - Every commit is batched: a committer enqueues on the queue of the
+//     lowest shard in its footprint, and the first to take that shard's
+//     lock drains the queue, validates the whole batch under one lock
+//     acquisition, and stamps it with consecutive commit timestamps
+//     from a single oracle block allocation.
+//   - A batch whose requests span more shards takes the locks of those
+//     higher shards in ascending order before it allocates timestamps.
+//     Every queued request's lowest shard is the queue's own, so all
+//     shard locks are taken in one global ascending order
+//     (deadlock-free), and cross-shard commits group-commit like any
+//     other.
 //
 // Correctness relies on two properties. First, the oracle's completion
 // watermark only advances over contiguous timestamp prefixes, so a
@@ -55,6 +61,14 @@ type commitShard struct {
 
 	qmu   sync.Mutex
 	queue []*commitReq
+
+	// Batch-leader scratch, guarded by mu and reused across batches:
+	// marks flags the higher shards a drained batch needs, held lists
+	// this shard and those shards in ascending order, and done the
+	// requests that installed.
+	marks []bool
+	held  []*commitShard
+	done  []*commitReq
 }
 
 // drain takes the current queue. The caller holds the shard commit
@@ -67,18 +81,33 @@ func (s *commitShard) drain() []*commitReq {
 	return batch
 }
 
-// commitReq is one transaction waiting in a shard's group-commit queue.
+// commitReq is one transaction waiting in its lowest shard's
+// group-commit queue. Txn embeds it, so a commit allocates no request.
 type commitReq struct {
 	st     *mvcc.TxnState
 	epochs []tableEpoch // DDL epochs recorded at staging time (ddl.go)
-	ts     uint64       // commit timestamp, set by the leader before the ack
-	errc   chan error   // buffered; receives the commit outcome exactly once
+	// ids are the footprint's shards, ascending and distinct; ids[0]
+	// owns the queue. idBuf backs footprints of up to two shards.
+	ids   []int
+	idBuf [2]int
+	ts    uint64 // commit timestamp, set by the leader
+	// err is the outcome. The leader writes it under the queue shard's
+	// lock and then sets ready, so the committer reads it either after
+	// taking that lock itself or after observing ready.
+	err   error
+	ready atomic.Bool
+}
+
+// finish delivers req's outcome; the leader must not touch req after.
+func (req *commitReq) finish(err error) {
+	req.err = err
+	req.ready.Store(true)
 }
 
 func newCommitShards(n int) []*commitShard {
 	shards := make([]*commitShard, n)
 	for i := range shards {
-		shards[i] = &commitShard{id: i, recent: mvcc.NewRecentList()}
+		shards[i] = &commitShard{id: i, recent: mvcc.NewRecentList(), marks: make([]bool, n)}
 	}
 	return shards
 }
@@ -88,26 +117,13 @@ func (db *DB) shardOf(id mvcc.ColumnID) int {
 	return storage.ShardOf(id.Table, id.Col, len(db.shards))
 }
 
-// txnShards returns the sorted, distinct shard ids of t's footprint
-// (written, point-read, and predicate columns).
-func (db *DB) txnShards(t *mvcc.TxnState) []int {
-	if len(db.shards) == 1 {
-		return []int{0}
+// addShard inserts shard id into ids, which stay ascending and distinct.
+func addShard(ids []int, id int) []int {
+	i, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
 	}
-	marks := make([]bool, len(db.shards))
-	t.EachColumn(func(id mvcc.ColumnID) { marks[db.shardOf(id)] = true })
-	return markedShards(marks)
-}
-
-// markedShards returns the ids of the marked shards, ascending.
-func markedShards(marks []bool) []int {
-	ids := make([]int, 0, 2)
-	for i, m := range marks {
-		if m {
-			ids = append(ids, i)
-		}
-	}
-	return ids
+	return slices.Insert(ids, i, id)
 }
 
 // lockShards takes the commit locks of shards ids in ascending order —
@@ -128,48 +144,56 @@ func unlockShards(shards []*commitShard) {
 	}
 }
 
-// logCommit appends one commit record spanning shards ids (ascending)
-// to the WAL, once: to the owning (visibility pseudo-column) shard of
-// the first mutated table when the record births or kills rows —
-// keeping a table's row ops in one timestamp-ordered segment series —
-// and to the lowest involved shard otherwise. Replay merges shard logs
-// idempotently (writes by timestamp, row ops buffered and sorted per
-// row), so which segment carries the record never changes the outcome.
-func (db *DB) logCommit(ids []int, rec wal.CommitRecord) error {
-	shard := ids[0]
-	if len(rec.Ops) > 0 {
-		shard = db.shardOf(mvcc.VisColumnID(rec.Ops[0].Table))
+// lockShard takes s's commit lock. TryLock first so the uncontended
+// path pays neither a clock read nor an observation; the lock-wait
+// histogram counts contended acquisitions only.
+func (db *DB) lockShard(s *commitShard) {
+	if s.mu.TryLock() {
+		return
 	}
-	return db.wal.AppendCommits(shard, []wal.CommitRecord{rec})
+	wait := time.Now()
+	s.mu.Lock()
+	db.tel.commitLockWait.Observe(time.Since(wait))
 }
 
-// commit runs the commit phase for t's staged writes: precision-locking
-// validation against the recent commits of every shard t touched, then
-// in-place materialisation with displaced versions pushed onto the
-// column version chains (write timestamp strictly before data, which
-// the lock-free read protocol in column.valueAt relies on).
-// epochs carries the DDL epochs the transaction recorded at staging
-// time; a drop or truncate of any recorded table since then aborts the
-// commit (ddlAborted) before anything installs.
-func (db *DB) commit(t *mvcc.TxnState, epochs []tableEpoch) error {
-	ids := db.txnShards(t)
-	if len(ids) == 1 {
-		return db.commitGrouped(db.shards[ids[0]], t, epochs)
+// commit runs the commit phase for a transaction's staged writes:
+// precision-locking validation against the recent commits of every
+// shard it touched, then in-place materialisation with displaced
+// versions pushed onto the column version chains (write timestamp
+// strictly before data, which the lock-free read protocol in
+// column.valueAt relies on). req.epochs carries the DDL epochs the
+// transaction recorded at staging time; a drop or truncate of any
+// recorded table since then aborts the commit (ddlAborted) before
+// anything installs.
+func (db *DB) commit(req *commitReq) error {
+	// The footprint: written, point-read and predicate columns, and
+	// each mutated table's visibility pseudo-column.
+	req.ids = req.idBuf[:0]
+	if len(db.shards) == 1 {
+		req.ids = append(req.ids, 0)
+	} else {
+		req.st.EachColumn(func(id mvcc.ColumnID) { req.ids = addShard(req.ids, db.shardOf(id)) })
 	}
-	db.st.crossShard.Add(1)
-	return db.commitCrossShard(ids, t, epochs)
+	if len(req.ids) > 1 {
+		db.st.crossShard.Add(1)
+	}
+	return db.commitGrouped(db.shards[req.ids[0]], req)
 }
 
-// commitGrouped commits a single-shard transaction through the shard's
-// group-commit queue. Every committer enqueues its request and then
-// takes the shard lock; whichever committer gets the lock first drains
-// the queue and processes the whole batch, so requests that pile up
-// behind a busy shard are validated and stamped together. A committer
-// whose request was processed by an earlier leader drains whatever
-// newer requests queued meanwhile (possibly none) and then picks up its
-// own result.
-func (db *DB) commitGrouped(s *commitShard, t *mvcc.TxnState, epochs []tableEpoch) error {
-	req := &commitReq{st: t, epochs: epochs, errc: make(chan error, 1)}
+// commitGrouped commits req through the group-commit queue of s, the
+// lowest shard in its footprint. Every committer enqueues its request
+// and then takes the shard lock; whichever committer gets the lock
+// first drains the queue and processes the whole batch, so requests
+// that pile up behind a busy shard are validated and stamped together.
+// A committer whose request was processed by an earlier leader drains
+// whatever newer requests queued meanwhile (possibly none) and then
+// picks up its own result.
+//
+// On success it blocks, outside every shard lock, until the completion
+// watermark covers the request's timestamp, so a transaction beginning
+// after Commit returns is guaranteed to read its writes
+// (read-your-own-writes across out-of-order shard completion).
+func (db *DB) commitGrouped(s *commitShard, req *commitReq) error {
 	s.qmu.Lock()
 	s.queue = append(s.queue, req)
 	s.qmu.Unlock()
@@ -178,74 +202,51 @@ func (db *DB) commitGrouped(s *commitShard, t *mvcc.TxnState, epochs []tableEpoc
 	// were enqueueing — skip the lock handoff entirely then. Requests
 	// still queued are always drained eventually because their own
 	// enqueuer is in the lock queue below.
-	select {
-	case err := <-req.errc:
-		return db.finishGrouped(req, err)
-	default:
+	if !req.ready.Load() {
+		db.lockShard(s)
+		if batch := s.drain(); len(batch) > 0 {
+			db.runBatch(s, batch)
+		}
+		s.mu.Unlock()
 	}
+	if req.err == nil {
+		db.oracle.WaitCompleted(req.ts)
+	}
+	return req.err
+}
 
-	if db.groupMaxWait > 0 {
-		// WithGroupCommitMaxWait: linger before contending for the
-		// shard lock, so committers arriving within the window pile up
-		// in the queue and whoever wakes first processes them as one
-		// batch (one validation pass, one fsync). The wait happens
-		// OUTSIDE the shard lock — snapshot capture, checkpoints and
-		// cross-shard commits are never stalled behind a sleeping
-		// leader — and a request a concurrent leader already processed
-		// returns without touching the lock at all.
-		linger := time.Now()
-		time.Sleep(db.groupMaxWait)
-		db.tel.commitLinger.Observe(time.Since(linger))
-		select {
-		case err := <-req.errc:
-			return db.finishGrouped(req, err)
-		default:
+// runBatch validates, stamps, and installs a batch of commits whose
+// lowest shard is s, under s's lock (held by the caller): one
+// recent-list lock acquisition per validated shard, one oracle block
+// allocation for the whole batch, and — with durability enabled — one
+// WAL append (one fsync under the default policy) covering every
+// record in the batch, so durability costs amortize across the group
+// exactly like the lock acquisition. Transactions that fail validation
+// complete their timestamp slot as a no-op so the completion watermark
+// stays contiguous.
+func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
+	// The batch's higher shards are locked, ascending, before the
+	// timestamp block is allocated: every shard a request reads is then
+	// held through its timestamp allocation (see the header).
+	held := append(s.held[:0], s)
+	for _, req := range batch {
+		for _, id := range req.ids[1:] {
+			s.marks[id] = true
+		}
+	}
+	for id := s.id + 1; id < len(s.marks); id++ {
+		if s.marks[id] {
+			s.marks[id] = false
+			db.lockShard(db.shards[id])
+			held = append(held, db.shards[id])
 		}
 	}
 
-	// TryLock first so the uncontended path pays neither a clock read
-	// nor an observation; the lock-wait histogram counts contended
-	// acquisitions only.
-	if !s.mu.TryLock() {
-		wait := time.Now()
-		s.mu.Lock()
-		db.tel.commitLockWait.Observe(time.Since(wait))
-	}
-	batch := s.drain()
-	if len(batch) > 0 {
-		db.runBatch(s, batch)
-	}
-	s.mu.Unlock()
-	return db.finishGrouped(req, <-req.errc)
-}
-
-// finishGrouped completes a group-committed request after its result
-// arrived. On success it blocks, outside every shard lock, until the
-// completion watermark covers the request's timestamp, so a
-// transaction beginning after Commit returns is guaranteed to read its
-// writes (read-your-own-writes across out-of-order shard completion).
-func (db *DB) finishGrouped(req *commitReq, err error) error {
-	if err == nil {
-		db.oracle.WaitCompleted(req.ts)
-	}
-	return err
-}
-
-// runBatch validates, stamps, and installs a batch of same-shard
-// commits under the shard lock (held by the caller): one recent-list
-// lock acquisition per validation, one oracle block allocation for the
-// whole batch, and — with durability enabled — one WAL append (one
-// fsync under the default policy) covering every record in the batch,
-// so durability costs amortize across the group exactly like the lock
-// acquisition. Transactions that fail validation complete their
-// timestamp slot as a no-op so the completion watermark stays
-// contiguous.
-func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 	db.st.commitBatches.Add(1)
 	db.st.groupSizes[groupSizeBucket(len(batch))].Add(1)
 
 	first := db.oracle.NextCommitTSBlock(len(batch))
-	done := make([]*commitReq, 0, len(batch))
+	done := s.done[:0]
 	var recs []wal.CommitRecord
 	// Phase latency is accumulated across the batch with chained clock
 	// marks (two reads per request) and observed once per batch — the
@@ -258,40 +259,30 @@ func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 	var validateTime, installTime time.Duration
 	mark := tr.Now()
 	for i, req := range batch {
-		ts := first + uint64(i)
-		req.ts = ts
-		// Read-free transactions cannot be invalidated and skip
-		// validation (HasReads). Earlier transactions of this batch
-		// have already added their records, so intra-batch conflicts
-		// are caught here too.
+		req.ts = first + uint64(i)
 		// The DDL epoch guard runs before validation: a table in the
 		// footprint that was dropped or truncated since staging would
 		// otherwise install into freed memory or resurrect truncated
 		// rows through the index. The epoch load is ordered after the
 		// DDL's bump by this shard's lock, which the DDL held.
-		if err := ddlAborted(req.epochs); err != nil {
-			db.st.conflicts.Add(1)
-			db.oracle.CompleteNoop(ts)
-			now := tr.Now()
-			validateTime += now - mark
-			mark = now
-			tr.RecordAt(telemetry.EvTxnAbort, int64(req.st.ID), telemetry.AbortConflict, int64(req.st.Begin), now)
-			req.errc <- err
-			continue
+		// Earlier transactions of this batch have already filed their
+		// records, so intra-batch conflicts are caught too.
+		err := ddlAborted(req.epochs)
+		if err == nil {
+			err = db.validate(req)
 		}
-		conflictTS := validate(s, req.st)
 		now := tr.Now()
 		validateTime += now - mark
 		mark = now
-		if conflictTS != 0 {
+		if err != nil {
 			db.st.conflicts.Add(1)
-			db.oracle.CompleteNoop(ts)
+			db.oracle.CompleteNoop(req.ts)
 			tr.RecordAt(telemetry.EvTxnAbort, int64(req.st.ID), telemetry.AbortConflict, int64(req.st.Begin), now)
-			req.errc <- fmt.Errorf("%w: read set invalidated by commit %d", ErrConflict, conflictTS)
+			req.finish(err)
 			continue
 		}
-		rec := db.install(req.st, ts)
-		s.recent.Add(rec)
+		rec := db.install(req.st, req.ts)
+		db.fileRecent(req.ids, rec)
 		if db.wal != nil {
 			recs = append(recs, db.redoRecord(rec))
 		}
@@ -324,89 +315,59 @@ func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 		} else {
 			tr.RecordAt(telemetry.EvTxnAbort, int64(req.st.ID), telemetry.AbortError, int64(req.st.Begin), evAt)
 		}
-		req.errc <- walErr
+		req.finish(walErr)
 	}
 	if len(done) > 0 {
-		db.maintainShards([]*commitShard{s}, uint64(len(done)))
+		db.maintainShards(held, uint64(len(done)))
 	}
+	unlockShards(held[1:])
+	clear(done)
+	s.done, s.held = done[:0], held[:0]
 }
 
-// commitCrossShard commits a transaction whose footprint spans several
-// shards: all involved shard locks are taken in ascending shard order
-// (deadlock-free by global ordering), the transaction validates against
-// each shard's recent commits, and its record is split per shard.
-func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch) error {
-	tr := db.tel.rec
-	wait := tr.Now()
-	shards := db.lockShards(ids)
-	mark := tr.Now()
-	db.tel.commitLockWait.Observe(mark - wait)
-
-	db.st.commitBatches.Add(1)
-	db.st.groupSizes[groupSizeBucket(1)].Add(1)
-
-	// DDL epoch guard (see runBatch): any involved shard's lock orders
-	// the epoch load after a concurrent DDL's bump.
-	if err := ddlAborted(epochs); err != nil {
-		db.st.conflicts.Add(1)
-		now := tr.Now()
-		db.tel.commitValidate.Observe(now - mark)
-		tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortConflict, int64(t.Begin), now)
-		unlockShards(shards)
-		return err
+// validate runs precision-locking validation of req against the recent
+// commits of every shard in its footprint. Transactions with an empty
+// read set skip the walk: blind writes serialize at their commit
+// timestamp and cannot have read stale data. This matters under the
+// sharded pipeline, where the visibility watermark (and with it begin
+// timestamps) can briefly lag behind the newest assigned timestamps,
+// widening the window of records Validate would otherwise scan.
+func (db *DB) validate(req *commitReq) error {
+	if !req.st.HasReads() {
+		return nil
 	}
-	for _, s := range shards {
-		if conflictTS := validate(s, t); conflictTS != 0 {
-			db.st.conflicts.Add(1)
-			now := tr.Now()
-			db.tel.commitValidate.Observe(now - mark)
-			tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortConflict, int64(t.Begin), now)
-			unlockShards(shards)
-			return fmt.Errorf("%w: read set invalidated by commit %d", ErrConflict, conflictTS)
+	for _, id := range req.ids {
+		if ts := db.shards[id].recent.Validate(req.st); ts != 0 {
+			return fmt.Errorf("%w: read set invalidated by commit %d", ErrConflict, ts)
 		}
 	}
-	now := tr.Now()
-	db.tel.commitValidate.Observe(now - mark)
-	mark = now
-	ts := db.oracle.NextCommitTSBlock(1)
-	rec := db.install(t, ts)
-	for i, id := range ids {
-		var writes, visWrites []mvcc.WriteEntry
+	return nil
+}
+
+// fileRecent files rec in the recent list of every shard in ids: whole
+// for a single-shard commit, otherwise split so each shard keeps only
+// the entries routed to it.
+func (db *DB) fileRecent(ids []int, rec mvcc.CommitRecord) {
+	if len(ids) == 1 {
+		db.shards[ids[0]].recent.Add(rec)
+		return
+	}
+	for _, id := range ids {
+		part := mvcc.CommitRecord{TS: rec.TS}
 		for _, e := range rec.Writes {
 			if db.shardOf(e.Col) == id {
-				writes = append(writes, e)
+				part.Writes = append(part.Writes, e)
 			}
 		}
 		for _, e := range rec.VisWrites {
 			if db.shardOf(e.Col) == id {
-				visWrites = append(visWrites, e)
+				part.VisWrites = append(part.VisWrites, e)
 			}
 		}
-		if len(writes) > 0 || len(visWrites) > 0 {
-			shards[i].recent.Add(mvcc.CommitRecord{TS: ts, Writes: writes, VisWrites: visWrites})
+		if len(part.Writes) > 0 || len(part.VisWrites) > 0 {
+			db.shards[id].recent.Add(part)
 		}
 	}
-	now = tr.Now()
-	db.tel.commitInstall.Observe(now - mark)
-	mark = now
-	var walErr error
-	if db.wal != nil {
-		walErr = db.logCommit(ids, db.redoRecord(rec))
-		now = tr.Now()
-		db.tel.commitFsync.Observe(now - mark)
-		db.kickAutoCkpt()
-	}
-	if walErr == nil {
-		tr.RecordAt(telemetry.EvTxnCommit, int64(t.ID), 0, int64(t.Begin), now)
-	} else {
-		tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortError, int64(t.Begin), now)
-	}
-	db.oracle.Complete(ts)
-	db.maintainShards(shards, 1)
-	unlockShards(shards)
-	// See commitGrouped: visibility before Commit returns.
-	db.oracle.WaitCompleted(ts)
-	return walErr
 }
 
 // install materialises t's staged writes and row ops at commit
@@ -566,20 +527,6 @@ func (db *DB) lockAllShards() {
 }
 
 func (db *DB) unlockAllShards() { unlockShards(db.shards) }
-
-// validate runs precision-locking validation of t against s's recent
-// commits. Transactions with an empty read set skip the walk: blind
-// writes serialize at their commit timestamp and cannot have read
-// stale data. This matters under the sharded pipeline, where the
-// visibility watermark (and with it begin timestamps) can briefly lag
-// behind the newest assigned timestamps, widening the window of
-// records Validate would otherwise scan.
-func validate(s *commitShard, t *mvcc.TxnState) uint64 {
-	if !t.HasReads() {
-		return 0
-	}
-	return s.recent.Validate(t)
-}
 
 // groupSizeBucket maps a batch size to its histogram bucket: 1, 2, ≤4,
 // ≤8, ≤16, ≤32, ≤64, >64.

@@ -82,10 +82,6 @@ type DB struct {
 	ckptQuit        chan struct{}
 	ckptDone        chan struct{}
 
-	// groupMaxWait is how long a group-commit leader waits for
-	// followers before processing its batch (WithGroupCommitMaxWait).
-	groupMaxWait time.Duration
-
 	// gcKick wakes the watermark-driven recent-list pruner (one
 	// buffered slot: pruning is idempotent, kicks may coalesce);
 	// closing gcQuit stops it.
@@ -458,7 +454,6 @@ func Open(opts ...Option) (*DB, error) {
 		gcQuit:          make(chan struct{}),
 		autoCkptBytes:   cfg.autoCkptBytes,
 		autoCkptRecords: cfg.autoCkptRecords,
-		groupMaxWait:    cfg.groupMaxWait,
 	}
 	db.tel.rec = telemetry.NewRecorder(traceRingSize)
 	db.tel.slowThresh = cfg.slowQueryThreshold

@@ -48,8 +48,7 @@
 //
 // Open-time options: WithSnapshotStrategy, WithCostModel,
 // WithPageSize, WithSnapshotRefresh, WithInitialSchema,
-// WithCommitShards, WithGroupCommitMaxWait, WithDurability,
-// WithSyncPolicy, WithAutoCheckpoint,
+// WithCommitShards, WithDurability, WithSyncPolicy, WithAutoCheckpoint,
 // WithAutoCheckpointInterval, WithSlowQueryThreshold,
 // WithMetricsServer, WithServeAddr, WithReplicaOf, WithNamespace,
 // WithServeMaxSessions, WithFS (test-only fault injection).
@@ -141,7 +140,7 @@
 //	rows, _ := w.Lookup("users", "uid", 42)
 //
 // The engine is observable without touching its contended paths:
-// DB.Stats carries phase-latency histograms (commit linger, lock wait,
+// DB.Stats carries phase-latency histograms (commit lock wait,
 // validate, install, fsync; snapshot creation; query execution;
 // checkpoint, recovery replay, vacuum) next to its counters,
 // DB.TraceDump renders the flight recorder's surviving event window,

@@ -29,8 +29,8 @@ type ColumnID struct {
 // VisCol is the pseudo column index of a table's row-visibility
 // (birth/death) arrays. Inserts and deletes route through the commit
 // shard this pseudo column hashes to — the table's "owning" shard —
-// which serialises all visibility mutations of a table on one lock and
-// keeps their WAL records in one timestamp-ordered segment series.
+// which serialises all visibility mutations of a table on one lock, so
+// their WAL appends happen in timestamp order.
 const VisCol = -1
 
 // VisColumnID returns the visibility pseudo-column of table.

@@ -27,8 +27,9 @@ type Record struct {
 // its timestamp. Two consequences:
 //
 //   - Per column and per visibility column the stream is in timestamp
-//     order (those records share a commit shard, whose appends are
-//     FIFO), so a single-threaded applier reproduces primary state.
+//     order (every record touching one is allocated its timestamp and
+//     appended while its commit shard's lock is held), so a
+//     single-threaded applier reproduces primary state.
 //   - When a heartbeat carrying watermark W reaches a subscriber,
 //     every record with TS <= W precedes it in that subscriber's
 //     stream: the watermark only reached W after those records

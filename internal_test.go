@@ -2,9 +2,11 @@ package ankerdb
 
 // In-package tests for behavior only observable below the public API:
 // the watermark-driven recent-list pruner (per-shard list lengths) and
-// exact per-row commit-timestamp preservation across recovery.
+// exact per-row commit-timestamp preservation across recovery, and
+// cross-shard requests batching in their lowest shard's queue.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -230,5 +232,90 @@ func TestRecoverySkipsUnknownAddressRecords(t *testing.T) {
 		if v, err := r.Get("t", "v0", i); err != nil || v != int64(10+i) {
 			t.Fatalf("v0[%d] = %d, %v", i, v, err)
 		}
+	}
+}
+
+// TestCrossShardCommitsBatch: cross-shard commits queue on their lowest
+// shard and group-commit there. With shard 0's lock held, two commits
+// spanning shards 0 and 1 pile up in shard 0's queue; the leader that
+// drains them validates the second against the first's record across
+// both shards, so the reader of the first's write aborts.
+func TestCrossShardCommitsBatch(t *testing.T) {
+	const cols = 8
+	db, err := Open(WithCostModel(ZeroCost), WithCommitShards(2),
+		WithInitialSchema(internalSchema(cols), 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var low, high string
+	for i := 0; i < cols; i++ {
+		switch db.shardOf(mvcc.ColumnID{Table: 0, Col: i}) {
+		case 0:
+			low = fmt.Sprintf("v%d", i)
+		case 1:
+			high = fmt.Sprintf("v%d", i)
+		}
+	}
+	if low == "" || high == "" {
+		t.Skip("probe columns do not cover both shards")
+	}
+
+	// w1 writes high[1]; w2 reads high[1] and writes both shards too.
+	w1, err1 := db.Begin(OLTP)
+	w2, err2 := db.Begin(OLTP)
+	for _, err := range []error{
+		err1, err2,
+		w1.Set("t", low, 1, 10), w1.Set("t", high, 1, 10),
+		func() error { _, err := w2.Get("t", high, 1); return err }(),
+		w2.Set("t", low, 2, 20), w2.Set("t", high, 2, 20),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.Stats()
+
+	s := db.shards[0]
+	queued := func(n int) bool {
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			s.qmu.Lock()
+			got := len(s.queue)
+			s.qmu.Unlock()
+			if got == n {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+	s.mu.Lock()
+	errs := make([]chan error, 2)
+	for i, w := range []*Txn{w1, w2} {
+		errs[i] = make(chan error, 1)
+		go func(w *Txn, c chan error) { c <- w.Commit() }(w, errs[i])
+		if !queued(i + 1) {
+			s.mu.Unlock()
+			t.Fatalf("commit %d never queued on shard 0", i+1)
+		}
+	}
+	s.mu.Unlock()
+
+	if err := <-errs[0]; err != nil {
+		t.Fatalf("first commit: %v", err)
+	}
+	if err := <-errs[1]; !errors.Is(err, ErrConflict) {
+		t.Fatalf("second commit = %v, want ErrConflict", err)
+	}
+	after := db.Stats()
+	if got := after.GroupCommitSize.Observations() - before.GroupCommitSize.Observations(); got != 1 {
+		t.Errorf("batches = %d, want 1", got)
+	}
+	if got := after.GroupCommitSize.Buckets[1] - before.GroupCommitSize.Buckets[1]; got != 1 {
+		t.Errorf("batches of 2 = %d, want 1 (%v)", got, after.GroupCommitSize)
+	}
+	if got := after.CommitShardConflicts - before.CommitShardConflicts; got != 2 {
+		t.Errorf("CommitShardConflicts rose by %d, want 2", got)
 	}
 }

@@ -32,7 +32,7 @@ import (
 // append order, commits gated behind the completion watermark, and
 // in-band heartbeats carry watermarks that every covered record
 // precedes. The replica applies single-threaded, taking the involved
-// shard commit locks per record exactly like a cross-shard commit,
+// shard commit locks per record in ascending order like a commit batch,
 // and advances its own oracle only on heartbeats (ObserveCommitted) —
 // so replica OLAP snapshots always read a prefix of the primary's
 // committed history, never a torn middle. Records applied above the
@@ -429,8 +429,9 @@ func (db *DB) applyTableDDL(rec wal.TableDDLRecord) {
 // applyCommit installs one streamed commit record into live replica
 // state through the primary's install steps (installWrite,
 // installRowOp, rowDeltas), under the involved shard commit locks
-// taken like a cross-shard commit takes them, and logs it to the
-// replica's own WAL in the segment series a cross-shard commit picks.
+// taken in ascending order like a commit batch takes them, and logs it
+// to the replica's own WAL in its lowest shard's segment series, the
+// one a commit batch appends to.
 // Only replay adds the idempotence guards — newer-wins per written
 // cell (newerWrite), the birth/death floor per row op (rowOpFloor) —
 // so duplicated records (bootstrap overlap, resume replays) are
@@ -442,14 +443,13 @@ func (r *replicaState) applyCommit(rec wal.CommitRecord) (bool, error) {
 	if !ok {
 		return false, err // beyond the applied schema prefix: skip whole
 	}
-	marks := make([]bool, len(db.shards))
+	var ids []int
 	for _, c := range cols {
-		marks[db.shardOf(c.id)] = true
+		ids = addShard(ids, db.shardOf(c.id))
 	}
 	for _, op := range rec.Ops {
-		marks[db.shardOf(mvcc.VisColumnID(op.Table))] = true
+		ids = addShard(ids, db.shardOf(mvcc.VisColumnID(op.Table)))
 	}
-	ids := markedShards(marks)
 	shards := db.lockShards(ids)
 
 	// Rows this record itself births skip the version-chain push, like
@@ -504,7 +504,7 @@ func (r *replicaState) applyCommit(rec wal.CommitRecord) (bool, error) {
 		// visibility (heartbeats do). Failure poisons the log and
 		// surfaces through Stats/metrics; serving from memory stays
 		// correct.
-		_ = db.logCommit(ids, rec)
+		_ = db.wal.AppendCommits(ids[0], []wal.CommitRecord{rec})
 	}
 	return true, nil
 }

@@ -423,6 +423,59 @@ func TestRemoteSession(t *testing.T) {
 	}
 }
 
+// TestRemoteSessionIdleReleasesPin: a session that goes silent while
+// it holds an open OLAP transaction is cut after sessionIdleTimeout,
+// and the deferred abort releases its snapshot pin — the generation
+// and with it the vacuum floor are no longer held by an idle client.
+func TestRemoteSessionIdleReleasesPin(t *testing.T) {
+	// Registered before the primary's own Close cleanup, so it runs
+	// after every session goroutine has exited.
+	old := sessionIdleTimeout
+	t.Cleanup(func() { sessionIdleTimeout = old })
+	sessionIdleTimeout = 100 * time.Millisecond
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), 16), WithSnapshotRefresh(1))
+
+	sess, err := Dial(p.ServeAddr(), "")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer sess.Close()
+	rd, err := sess.BeginTxn(OLAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := rd.SnapshotTS()
+
+	// Rotate the current generation past the session's: a commit makes
+	// it stale, the next local OLAP begin replaces it.
+	commitWrite(t, p, "kv", "v", 1, 1)
+	local, err := p.Begin(OLAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().PinnedGenerations; got != 2 {
+		t.Fatalf("PinnedGenerations = %d with the session's pin, want 2", got)
+	}
+
+	// The session idles; only the manager's pin on the current
+	// generation may remain, and the floor moves past the session's
+	// snapshot.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().PinnedGenerations != 1 || p.gcFloor() <= pinned {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle session still pins: PinnedGenerations = %d, floor %d <= %d",
+				p.Stats().PinnedGenerations, p.gcFloor(), pinned)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := rd.Get("kv", "v", 1); err == nil {
+		t.Fatal("Get on the cut session succeeded")
+	}
+}
+
 // TestRemoteSessionAdmission: the WithServeMaxSessions cap refuses the
 // excess dial with a wire-coded ErrTooManySessions.
 func TestRemoteSessionAdmission(t *testing.T) {

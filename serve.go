@@ -1,8 +1,10 @@
 package ankerdb
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +35,13 @@ type Server struct {
 
 // defaultMaxSessions is the WithServeMaxSessions default admission cap.
 const defaultMaxSessions = 256
+
+// sessionIdleTimeout is how long a remote session holding an open
+// transaction may stay silent before the server cuts it, aborting its
+// transactions and releasing their snapshot pins: an idle client must
+// not hold a generation, and with it the vacuum floor, forever. A
+// session with no open transaction may idle without limit.
+var sessionIdleTimeout = time.Minute
 
 // heartbeatEvery is how often a quiescent replica feed ships the
 // completion watermark (and solicits an applied-TS ack back).
@@ -331,8 +340,9 @@ func (s *Server) writeRecord(c *repl.Conn, rec repl.Record) error {
 
 // serveSession runs one remote session: admission, welcome, then a
 // request/response loop over the session's transactions. Transactions
-// left open when the connection dies are aborted (OLTP) or released
-// (OLAP snapshot pins).
+// left open when the connection dies, or when the client stays silent
+// past sessionIdleTimeout while any is open, are aborted (OLTP) or
+// released (OLAP snapshot pins).
 func (s *Server) serveSession(c *repl.Conn, db *DB) {
 	if n := s.sessions.Add(1); n > int64(s.maxSessions) {
 		s.sessions.Add(-1)
@@ -356,8 +366,16 @@ func (s *Server) serveSession(c *repl.Conn, db *DB) {
 	var req wireReq
 	var resp wireResp
 	for {
+		var idle time.Time // no deadline while no transaction is open
+		if len(txns) > 0 {
+			idle = time.Now().Add(sessionIdleTimeout)
+		}
+		_ = c.SetReadDeadline(idle)
 		typ, payload, err := c.ReadMsg()
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				c.SendErr(fmt.Sprintf("ankerdb: session idle for %v with open transactions; aborted", sessionIdleTimeout))
+			}
 			return
 		}
 		if typ != repl.MsgRequest {

@@ -22,17 +22,14 @@ type Stats struct {
 
 	// Sharded group-commit pipeline.
 	CommitShards  int    // configured commit shards
-	CommitBatches uint64 // commit batches processed (group + cross-shard)
-	// CommitShardConflicts counts commits whose footprint spanned more
-	// than one shard and therefore serialized against multiple shard
-	// locks (cross-shard commits). It is a routing/contention measure,
-	// NOT a validation-failure count — see Conflicts for those.
+	CommitBatches uint64 // commit batches processed, one per leader drain
+	// CommitShardConflicts counts commit requests whose footprint spans
+	// more than one shard (cross-shard commits): they queue on their
+	// lowest shard, and their batch also holds the higher shards' locks.
+	// It is a routing/contention measure, NOT a validation-failure
+	// count — see Conflicts for those.
 	CommitShardConflicts uint64
 	GroupCommitSize      GroupCommitHist // batch-size distribution
-	// GroupCommitMaxWait is the configured pre-lock linger that lets
-	// contemporaneous commits batch together (WithGroupCommitMaxWait;
-	// zero = contend for the shard lock immediately).
-	GroupCommitMaxWait time.Duration
 
 	// Durability subsystem (zero without WithDurability).
 	Durable    bool
@@ -114,7 +111,6 @@ type Stats struct {
 	// SnapshotCreateHist.Count == SnapshotsCreated,
 	// QueryExecHist.Count == QueriesRun,
 	// CommitValidateHist.Count == CommitBatches).
-	CommitLingerHist   Hist // group-commit pre-lock linger, per lingering committer
 	CommitLockWaitHist Hist // contended shard commit-lock waits (the uncontended TryLock path is unobserved)
 	CommitValidateHist Hist // precision-locking validation, one observation per batch
 	CommitInstallHist  Hist // write materialisation, one observation per batch
@@ -158,8 +154,8 @@ type Stats struct {
 // GroupCommitHist is a log2 histogram of commit batch sizes: how many
 // transactions each shard-lock acquisition committed together. Bucket
 // upper bounds are GroupCommitBucketBounds (1, 2, 4, 8, 16, 32, 64;
-// the final bucket is unbounded). Cross-shard commits count as batches
-// of one.
+// the final bucket is unbounded). Cross-shard commits batch in their
+// lowest shard's queue like any other.
 type GroupCommitHist struct {
 	Buckets [8]uint64
 }
@@ -205,7 +201,6 @@ func (db *DB) Stats() Stats {
 	// in this order bounds each histogram's Count by the counter even
 	// mid-operation.
 	tel := &db.tel
-	lingerH := tel.commitLinger.Snapshot()
 	lockWaitH := tel.commitLockWait.Snapshot()
 	validateH := tel.commitValidate.Snapshot()
 	installH := tel.commitInstall.Snapshot()
@@ -224,7 +219,6 @@ func (db *DB) Stats() Stats {
 	created := m.created.Load()
 
 	s := Stats{
-		CommitLingerHist:   lingerH,
 		CommitLockWaitHist: lockWaitH,
 		CommitValidateHist: validateH,
 		CommitInstallHist:  installH,
@@ -247,7 +241,6 @@ func (db *DB) Stats() Stats {
 		CommitShards:         len(db.shards),
 		CommitBatches:        db.st.commitBatches.Load(),
 		CommitShardConflicts: db.st.crossShard.Load(),
-		GroupCommitMaxWait:   db.groupMaxWait,
 
 		CheckpointCount:       db.st.checkpoints.Load(),
 		AutoCheckpointCount:   db.st.autoCheckpoints.Load(),

@@ -37,6 +37,10 @@ type Txn struct {
 	// (ddl.go). A transaction touches few tables, so a slice with
 	// linear search beats a map.
 	epochs []tableEpoch
+
+	// req is the transaction's commit request, embedded so Commit
+	// allocates none.
+	req commitReq
 }
 
 type reservedRow struct {
@@ -608,7 +612,8 @@ func (t *Txn) Commit() error {
 	// The commit path itself records the flight-recorder commit/abort
 	// event (RecordAt, reusing its phase clock marks), so no event is
 	// emitted here.
-	if err := t.db.commit(t.state, t.epochs); err != nil {
+	t.req.st, t.req.epochs = t.state, t.epochs
+	if err := t.db.commit(&t.req); err != nil {
 		if errors.Is(err, ErrConflict) || errors.Is(err, ErrNoSuchTable) {
 			// Failed validation: install never ran, so reserved insert
 			// slots were never born and return to the free list. (A WAL
